@@ -1,5 +1,7 @@
 #include "obs/export.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -35,12 +37,13 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-std::string bound_label(double upper) {
-  // Integral bounds print bare (le_10), fractional with 3 digits.
-  if (upper == static_cast<double>(static_cast<long long>(upper))) {
-    return "le_" + std::to_string(static_cast<long long>(upper));
-  }
-  return "le_" + format_double(upper, 3);
+std::string bin_label(double upper) {
+  // Shortest round-trip form: bin edges are exact binary fractions, so
+  // le_5.5 or le_1.0728836059570312e-06, and le_inf for the overflow bin.
+  if (std::isinf(upper)) return "le_inf";
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), upper);
+  return "le_" + std::string(buf, res.ptr);
 }
 
 }  // namespace
@@ -77,12 +80,8 @@ void write_metrics_csv(const MetricsSnapshot& snapshot, std::ostream& out) {
   for (const HistogramRow& h : snapshot.histograms) {
     csv.row({"histogram", h.name, "count", std::to_string(h.count)});
     csv.row({"histogram", h.name, "sum", format_double(h.sum, 6)});
-    for (std::size_t b = 0; b < h.bucket_counts.size(); ++b) {
-      const std::string label = b < h.upper_bounds.size()
-                                    ? bound_label(h.upper_bounds[b])
-                                    : std::string("le_inf");
-      csv.row({"histogram", h.name, label,
-               std::to_string(h.bucket_counts[b])});
+    for (const auto& [upper, n] : h.bins) {
+      csv.row({"histogram", h.name, bin_label(upper), std::to_string(n)});
     }
   }
 }

@@ -1,12 +1,13 @@
 #include "obs/obs.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
-
-#include "common/error.hpp"
 
 namespace gppm::obs {
 
@@ -19,44 +20,74 @@ void set_enabled(bool on) {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram.
+// LogHistogram.
 
-Histogram::Histogram(std::vector<double> uppers)
-    : uppers_(std::move(uppers)), buckets_(uppers_.size() + 1) {
-  GPPM_CHECK(!uppers_.empty(), "histogram needs at least one bucket bound");
-  GPPM_CHECK(std::is_sorted(uppers_.begin(), uppers_.end()),
-             "histogram bounds must be ascending");
+namespace {
+
+// A positive double's bits shifted right by (52 - kSubBits) are
+// (biased exponent << kSubBits) | top mantissa bits: a key that grows with
+// the value, eight steps per octave.  kFirstKey is the key of 2^kMinExp.
+constexpr int kKeyShift = 52 - LogHistogram::kSubBits;
+constexpr std::uint64_t kFirstKey =
+    static_cast<std::uint64_t>(1023 + LogHistogram::kMinExp)
+    << LogHistogram::kSubBits;
+
+double bin_lower(std::size_t bin) {
+  return std::bit_cast<double>((kFirstKey + bin - 1) << kKeyShift);
 }
 
-void Histogram::record(double v) {
-  if (!enabled()) return;
-  std::size_t b = 0;
-  while (b < uppers_.size() && v > uppers_[b]) ++b;
-  buckets_[b].fetch_add(1, std::memory_order_relaxed);
+}  // namespace
+
+std::size_t LogHistogram::bin_index(double v) {
+  if (!(v >= bin_lower(1))) return 0;
+  if (v >= bin_lower(kBins - 1)) return kBins - 1;
+  return static_cast<std::size_t>(
+      (std::bit_cast<std::uint64_t>(v) >> kKeyShift) - kFirstKey + 1);
+}
+
+double LogHistogram::bin_upper(std::size_t bin) {
+  if (bin + 1 >= kBins) return std::numeric_limits<double>::infinity();
+  return bin_lower(bin + 1);
+}
+
+void LogHistogram::record(double v) {
+  bins_[bin_index(v)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
-  // Sums accumulate in integer nanounits so concurrent records stay exact.
-  const double scaled = v * 1e9;
-  sum_nanos_.fetch_add(
-      scaled > 0.0 ? static_cast<std::uint64_t>(scaled) : 0,
-      std::memory_order_relaxed);
+  if (v > 0.0) sum_.fetch_add(v, std::memory_order_relaxed);
 }
 
-double Histogram::sum() const {
-  return static_cast<double>(sum_nanos_.load(std::memory_order_relaxed)) / 1e9;
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(buckets_.size());
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
+double LogHistogram::quantile(double q) const {
+  // Rank against the bins as read, not count_: a record racing this scan
+  // may have bumped one and not the other.
+  std::array<std::uint64_t, kBins> counts;
+  std::uint64_t n = 0;
+  for (std::size_t i = 0; i < kBins; ++i) {
+    counts[i] = bins_[i].load(std::memory_order_relaxed);
+    n += counts[i];
   }
-  return out;
+  if (n == 0) return std::numeric_limits<double>::infinity();
+  // Integer rank in [1, n]: q == 0 (or a q rounding below one sample) must
+  // still land on a non-empty bin, never the empty underflow edge.
+  std::uint64_t rank = 1;
+  if (q >= 1.0) {
+    rank = n;
+  } else if (q > 0.0) {
+    rank = std::clamp<std::uint64_t>(
+        static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(n))), 1,
+        n);
+  }
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < kBins; ++i) {
+    seen += counts[i];
+    if (seen >= rank) return bin_upper(i);
+  }
+  return bin_upper(kBins - 1);  // unreachable: seen reaches n
 }
 
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+void LogHistogram::reset() {
+  for (auto& b : bins_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
-  sum_nanos_.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -98,12 +129,11 @@ Gauge& Registry::gauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& Registry::histogram(const std::string& name,
-                               std::vector<double> upper_bounds) {
+Histogram& Registry::histogram(const std::string& name) {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
   auto& slot = im.histograms[name];
-  if (!slot) slot.reset(new Histogram(std::move(upper_bounds)));
+  if (!slot) slot.reset(new Histogram());
   return *slot;
 }
 
@@ -121,8 +151,13 @@ MetricsSnapshot Registry::snapshot() const {
   }
   s.histograms.reserve(im.histograms.size());
   for (const auto& [name, h] : im.histograms) {
-    s.histograms.push_back(
-        {name, h->upper_bounds(), h->bucket_counts(), h->count(), h->sum()});
+    HistogramRow row{name, h->count(), h->sum(), {}};
+    for (std::size_t b = 0; b < Histogram::kBins; ++b) {
+      if (const std::uint64_t n = h->bin_count(b)) {
+        row.bins.emplace_back(Histogram::bin_upper(b), n);
+      }
+    }
+    s.histograms.push_back(std::move(row));
   }
   return s;
 }

@@ -6,10 +6,11 @@
 // pipeline itself is instrumented.  This layer gives every subsystem one
 // shared vocabulary:
 //
-//   * a metrics registry — named Counters, Gauges and fixed-bucket
-//     Histograms.  Registration takes a mutex once; the returned instrument
-//     reference is stable for the process lifetime, and every hot-path
-//     record is a single relaxed atomic op.
+//   * a metrics registry — named Counters, Gauges and log-binned
+//     Histograms (one fixed geometry, see LogHistogram).  Registration
+//     takes a mutex once; the returned instrument reference is stable for
+//     the process lifetime, and every hot-path record is a few lock-free
+//     relaxed atomic ops.
 //   * span-based tracing — RAII ObsSpan scoped timers with thread-aware
 //     nesting (per-thread depth, dense thread ids) collected into a bounded
 //     in-memory buffer and exportable as Chrome trace_event JSON
@@ -25,10 +26,12 @@
 // the registry nor the span buffer is ever destroyed.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace gppm::obs {
@@ -99,26 +102,65 @@ class Gauge {
   std::atomic<std::int64_t> max_{0};
 };
 
-/// Fixed-bucket histogram: explicit upper bounds (ascending) plus an
-/// implicit overflow bucket.  record() is lock-free: one linear bucket scan
-/// over a handful of bounds and two relaxed atomic ops.
-class Histogram {
+/// The one latency histogram: a fixed log-binned geometry shared by every
+/// caller, so no caller picks bucket bounds.
+///
+/// Values in [2^kMinExp, 2^kMaxExp) ~ [6e-8, 1.1e12) fall into eight bins
+/// per octave, indexed by the IEEE-754 exponent and the top three mantissa
+/// bits (no libm call); each bin is at most 12.5 % wide.  That range holds
+/// 0.1 us .. 1000 s whether the caller records seconds, milliseconds or
+/// microseconds.  Bin 0 takes everything below it (zero, negatives, NaN)
+/// and the last bin everything at or above it.  Bin b holds
+/// [bin_upper(b - 1), bin_upper(b)).
+///
+/// record() is three relaxed atomic adds into a fixed array: lock-free and
+/// allocation-free.  It records unconditionally; the registry's Histogram
+/// below is the gated flavour.
+class LogHistogram {
  public:
+  static constexpr int kMinExp = -24;
+  static constexpr int kMaxExp = 40;
+  static constexpr int kSubBits = 3;  ///< mantissa bits per bin: 8 per octave
+  static constexpr std::size_t kBins =
+      (static_cast<std::size_t>(kMaxExp - kMinExp) << kSubBits) + 2;
+
+  /// Bin of `v` (0 = underflow, kBins - 1 = overflow).
+  static std::size_t bin_index(double v);
+  /// Exclusive upper edge of `bin`; +inf for the overflow bin.
+  static double bin_upper(std::size_t bin);
+
   void record(double v);
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const;
-  const std::vector<double>& upper_bounds() const { return uppers_; }
-  /// Bucket counts; size() == upper_bounds().size() + 1 (last = overflow).
-  std::vector<std::uint64_t> bucket_counts() const;
+  /// Sum of the positive recorded values.
+  double sum() const { return sum_.load(std::memory_order_relaxed); }
+  std::uint64_t bin_count(std::size_t bin) const {
+    return bins_[bin].load(std::memory_order_relaxed);
+  }
+  /// Upper edge of the bin holding the rank-th smallest sample, rank =
+  /// clamp(ceil(q * n), 1, n); +inf with no samples — "no estimate", so a
+  /// caller clamping into a band lands on its conservative ceiling.
+  double quantile(double q) const;
+
+ protected:
+  void reset();
+
+ private:
+  std::array<std::atomic<std::uint64_t>, kBins> bins_{};
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<double> sum_{0.0};
+};
+
+/// Registry histogram: a LogHistogram behind the process-wide enable flag,
+/// so a disabled record() is one relaxed load and branch.
+class Histogram : public LogHistogram {
+ public:
+  void record(double v) {
+    if (enabled()) LogHistogram::record(v);
+  }
 
  private:
   friend class Registry;
-  explicit Histogram(std::vector<double> uppers);
-  void reset();
-  std::vector<double> uppers_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;  // uppers_.size() + 1
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_nanos_{0};  // sum scaled by 1e9 for atomicity
+  Histogram() = default;
 };
 
 /// One registry row per instrument kind, materialized by snapshot().
@@ -133,10 +175,10 @@ struct GaugeRow {
 };
 struct HistogramRow {
   std::string name;
-  std::vector<double> upper_bounds;
-  std::vector<std::uint64_t> bucket_counts;  // bounds + overflow
   std::uint64_t count = 0;
   double sum = 0.0;
+  /// Non-empty bins in ascending order: (upper edge, count).
+  std::vector<std::pair<double, std::uint64_t>> bins;
 };
 
 /// A point-in-time copy of every registered instrument, sorted by name.
@@ -159,10 +201,7 @@ class Registry {
 
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  /// Find or create; `upper_bounds` must be non-empty and ascending, and is
-  /// ignored when the histogram already exists.
-  Histogram& histogram(const std::string& name,
-                       std::vector<double> upper_bounds);
+  Histogram& histogram(const std::string& name);
 
   MetricsSnapshot snapshot() const;
 

@@ -19,6 +19,7 @@
 #include "cluster/ring.hpp"
 #include "cluster/router.hpp"
 #include "common/error.hpp"
+#include "obs/obs.hpp"
 
 namespace gppm::cluster {
 namespace {
@@ -211,7 +212,8 @@ TEST(ClusterRouter, EmptyLatencyWindowHasNoQuantileEstimate) {
   // Regression: an empty tracker answered 0.0, which callers clamping into
   // a delay band turned into the *aggressive* floor.  "No samples" is "no
   // estimate" — the sentinel is +inf so such clamps land on the ceiling.
-  LatencyTracker tracker;
+  // The router's window is an obs::LogHistogram.
+  obs::LogHistogram tracker;
   EXPECT_TRUE(std::isinf(tracker.quantile(0.0)));
   EXPECT_TRUE(std::isinf(tracker.quantile(0.5)));
   EXPECT_TRUE(std::isinf(tracker.quantile(0.99)));
@@ -222,14 +224,37 @@ TEST(ClusterRouter, SingleSampleWindowAnswersItsOwnBinAtEveryQuantile) {
   // q == 0 (rank 0) matched the empty bin 0 and reported ~1.19 us for a
   // window whose only sample was 10 ms.  Every quantile of a one-sample
   // window must return that sample's own bin edge.
-  LatencyTracker tracker;
+  obs::LogHistogram tracker;
   tracker.record(0.010);  // 10 ms
   const double edge = tracker.quantile(0.5);
   EXPECT_GT(edge, 0.008);
-  EXPECT_LT(edge, 0.014);  // ~19 % log-bin width around 10 ms
+  EXPECT_LT(edge, 0.014);  // within one log bin of 10 ms
   EXPECT_DOUBLE_EQ(tracker.quantile(0.0), edge);
   EXPECT_DOUBLE_EQ(tracker.quantile(0.99), edge);
   EXPECT_DOUBLE_EQ(tracker.quantile(1.0), edge);
+}
+
+TEST(ClusterRouter, HedgeTriggerTracksLatenciesAboveSixtyFiveMilliseconds) {
+  // Regression: the hedge window's bins stopped at 2^16 us, so every
+  // latency above 65.5 ms read back as 65.5 ms and the trigger could never
+  // reach the 100 ms hedge_max_delay.  With an 80 ms backend the trigger
+  // must sit at or above what the router observed.
+  RouterOptions opt = quiet_options();
+  opt.hedge_min_samples = 2;
+  opt.hedge_max_delay = Duration::milliseconds(100.0);
+  Router router(opt);
+  auto slow = std::make_shared<FakeBackend>("slow", 100.0);
+  constexpr double kServiceSeconds = 0.080;
+  slow->set_delay_seconds(kServiceSeconds);
+  router.add_backend(slow);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(router.predict(make_request(i)).ok());
+  }
+  EXPECT_EQ(router.stats().requests, 3u);
+  // Every observed latency is at least the service time.
+  EXPECT_GE(router.hedge_delay().as_seconds(), kServiceSeconds);
+  EXPECT_LE(router.hedge_delay().as_seconds(),
+            opt.hedge_max_delay.as_seconds());
 }
 
 TEST(ClusterRouter, HedgeWaitsAtCeilingBeforeAnyLatencyIsObserved) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <sstream>
 #include <string>
@@ -48,8 +50,7 @@ TEST(ObsRegistry, DisabledInstrumentsDoNotMove) {
   set_enabled(false);
   Counter& c = Registry::instance().counter("test.disabled_counter");
   Gauge& g = Registry::instance().gauge("test.disabled_gauge");
-  Histogram& h =
-      Registry::instance().histogram("test.disabled_hist", {1.0, 10.0});
+  Histogram& h = Registry::instance().histogram("test.disabled_hist");
   const std::uint64_t c0 = c.value();
   c.add(5);
   g.set(42);
@@ -75,30 +76,27 @@ TEST(ObsRegistry, CounterGaugeHistogramRecordWhenEnabled) {
   EXPECT_EQ(g.value(), 2);
   EXPECT_EQ(g.max(), 8);
 
-  Histogram& h = Registry::instance().histogram("test.hist", {1.0, 10.0});
-  h.record(0.5);   // bucket 0
-  h.record(1.0);   // bucket 0 (le semantics: v <= bound)
-  h.record(7.0);   // bucket 1
-  h.record(99.0);  // overflow
+  Histogram& h = Registry::instance().histogram("test.hist");
+  h.record(0.5);
+  h.record(1.0);
+  h.record(7.0);
+  h.record(99.0);
   EXPECT_EQ(h.count(), 4u);
   EXPECT_NEAR(h.sum(), 107.5, 1e-6);
-  const std::vector<std::uint64_t> buckets = h.bucket_counts();
-  ASSERT_EQ(buckets.size(), 3u);
-  EXPECT_EQ(buckets[0], 2u);
-  EXPECT_EQ(buckets[1], 1u);
-  EXPECT_EQ(buckets[2], 1u);
+  // Four values an octave or more apart land in four bins, one each.
+  for (double v : {0.5, 1.0, 7.0, 99.0}) {
+    EXPECT_EQ(h.bin_count(Histogram::bin_index(v)), 1u) << v;
+  }
+  EXPECT_EQ(h.quantile(0.5), Histogram::bin_upper(Histogram::bin_index(1.0)));
 }
 
 TEST(ObsRegistry, FindOrCreateIsStable) {
   Counter& a = Registry::instance().counter("test.same_name");
   Counter& b = Registry::instance().counter("test.same_name");
   EXPECT_EQ(&a, &b);
-  Histogram& h1 = Registry::instance().histogram("test.same_hist", {1.0});
-  // Bounds are ignored on a find; the instrument keeps its original shape.
-  Histogram& h2 =
-      Registry::instance().histogram("test.same_hist", {5.0, 50.0});
+  Histogram& h1 = Registry::instance().histogram("test.same_hist");
+  Histogram& h2 = Registry::instance().histogram("test.same_hist");
   EXPECT_EQ(&h1, &h2);
-  EXPECT_EQ(h2.upper_bounds().size(), 1u);
 }
 
 TEST(ObsRegistry, SnapshotSortsByNameAndReportsActivity) {
@@ -118,9 +116,10 @@ TEST(ObsRegistry, ConcurrentRecordingUnderParallelForIsExact) {
   EnabledGuard on(true);
   Counter& c = Registry::instance().counter("test.par_counter");
   Gauge& g = Registry::instance().gauge("test.par_gauge");
-  Histogram& h = Registry::instance().histogram("test.par_hist", {100.0});
+  Histogram& h = Registry::instance().histogram("test.par_hist");
   const std::uint64_t c0 = c.value();
   const std::uint64_t h0 = h.count();
+  const double s0 = h.sum();
 
   constexpr std::size_t kIters = 20000;
   parallel_for(kIters, [&](std::size_t i) {
@@ -132,8 +131,98 @@ TEST(ObsRegistry, ConcurrentRecordingUnderParallelForIsExact) {
 
   EXPECT_EQ(c.value() - c0, kIters);
   EXPECT_EQ(h.count() - h0, kIters);
+  // Integer values sum exactly in a double whatever the add order.
+  EXPECT_EQ(h.sum() - s0, 100.0 * (199.0 * 200.0 / 2.0));
   EXPECT_EQ(g.value(), 0);
   EXPECT_GE(g.max(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// The shared log-binned geometry and quantile rule.
+
+TEST(ObsHistogram, EachRecordedValueLiesInsideItsBin) {
+  for (double v = 1e-7; v <= 1e3; v *= 1.01) {
+    const std::size_t b = LogHistogram::bin_index(v);
+    ASSERT_GT(b, 0u) << v;
+    ASSERT_LT(b, LogHistogram::kBins - 1) << v;
+    EXPECT_LE(LogHistogram::bin_upper(b - 1), v);
+    EXPECT_LT(v, LogHistogram::bin_upper(b));
+    // No bin is wider than an eighth of an octave's first step (12.5 %).
+    EXPECT_LE(LogHistogram::bin_upper(b) / LogHistogram::bin_upper(b - 1),
+              1.125);
+  }
+  // A bin's lower edge belongs to it; its upper edge to the next bin.
+  const double edge = LogHistogram::bin_upper(100);
+  EXPECT_EQ(LogHistogram::bin_index(edge), 101u);
+}
+
+TEST(ObsHistogram, BinIndexIsMonotoneFrom1e7To1e3) {
+  std::size_t prev = LogHistogram::bin_index(1e-7);
+  for (double v = 1e-7; v <= 1e3; v *= 1.001) {
+    const std::size_t b = LogHistogram::bin_index(v);
+    EXPECT_GE(b, prev) << v;
+    prev = b;
+  }
+  // 0.1 us .. 1000 s is in range whether recorded in seconds or in
+  // microseconds.
+  for (double v : {1e-7, 1e3, 0.1, 1e9}) {
+    EXPECT_GT(LogHistogram::bin_index(v), 0u) << v;
+    EXPECT_LT(LogHistogram::bin_index(v), LogHistogram::kBins - 1) << v;
+  }
+}
+
+TEST(ObsHistogram, OutOfRangeValuesLandInUnderflowAndOverflow) {
+  for (double v : {0.0, -1.0, 1e-12, std::nan("")}) {
+    EXPECT_EQ(LogHistogram::bin_index(v), 0u) << v;
+  }
+  for (double v : {1e13, std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(LogHistogram::bin_index(v), LogHistogram::kBins - 1) << v;
+  }
+  EXPECT_TRUE(std::isinf(LogHistogram::bin_upper(LogHistogram::kBins - 1)));
+}
+
+TEST(ObsHistogram, PercentilesFromKnownDistribution) {
+  // 90 samples at 10 us, 10 at 10 ms: p50 is 10 us's bin and p99 10 ms's,
+  // each answered as the bin's upper edge (at most 12.5 % above).
+  LogHistogram h;
+  for (int i = 0; i < 90; ++i) h.record(10e-6);
+  for (int i = 0; i < 10; ++i) h.record(10e-3);
+  EXPECT_EQ(h.count(), 100u);
+  EXPECT_GT(h.quantile(0.50), 10e-6);
+  EXPECT_LE(h.quantile(0.50), 10e-6 * 1.125);
+  EXPECT_EQ(h.quantile(0.85), h.quantile(0.50));  // rank 85 is still 10 us
+  EXPECT_GT(h.quantile(0.91), 10e-3);
+  EXPECT_GT(h.quantile(0.99), 10e-3);
+  EXPECT_LE(h.quantile(0.99), 10e-3 * 1.125);
+  EXPECT_NEAR(h.sum(), 90 * 10e-6 + 10 * 10e-3, 1e-12);
+}
+
+TEST(ObsHistogram, ConcurrentRecordingIsExact) {
+  LogHistogram h;
+  constexpr std::size_t kIters = 20000;
+  parallel_for(kIters, [&](std::size_t i) {
+    h.record(static_cast<double>(i % 100 + 1));
+  });
+  EXPECT_EQ(h.count(), kIters);
+  std::uint64_t binned = 0;
+  for (std::size_t b = 0; b < LogHistogram::kBins; ++b) {
+    binned += h.bin_count(b);
+  }
+  EXPECT_EQ(binned, kIters);
+  EXPECT_EQ(h.sum(), 200.0 * (100.0 * 101.0 / 2.0));
+  EXPECT_EQ(h.bin_count(LogHistogram::bin_index(1.0)), kIters / 100);
+}
+
+TEST(ObsHistogram, SumDoesNotWrap) {
+  // Regression: the sum was kept in uint64 nano-units, so it wrapped past
+  // 1.8e10 and a single 1e12 record overflowed the cast outright.
+  EnabledGuard on(true);
+  Histogram& h = Registry::instance().histogram("test.big_sum");
+  for (int i = 0; i < 20; ++i) h.record(1e9);
+  EXPECT_EQ(h.sum(), 2e10);
+  h.record(1e12);
+  EXPECT_EQ(h.sum(), 1.02e12);
+  EXPECT_EQ(h.count(), 21u);
 }
 
 TEST(ObsSpans, NestingDepthsOnOneThread) {
@@ -222,8 +311,7 @@ TEST(ObsDisabled, HotPathDoesNotAllocate) {
   // Registration is the cold path and may allocate; do it first.
   Counter& c = Registry::instance().counter("test.noalloc_counter");
   Gauge& g = Registry::instance().gauge("test.noalloc_gauge");
-  Histogram& h =
-      Registry::instance().histogram("test.noalloc_hist", {1.0, 10.0});
+  Histogram& h = Registry::instance().histogram("test.noalloc_hist");
 
   const std::uint64_t before = g_allocations.load();
   for (int i = 0; i < 1000; ++i) {
@@ -240,7 +328,7 @@ TEST(ObsExport, MetricsCsvListsEveryInstrumentKind) {
   EnabledGuard on(true);
   Registry::instance().counter("test.csv_counter").add(3);
   Registry::instance().gauge("test.csv_gauge").set(7);
-  Registry::instance().histogram("test.csv_hist", {1.0, 10.0}).record(5.0);
+  Registry::instance().histogram("test.csv_hist").record(5.0);
 
   std::ostringstream out;
   write_metrics_csv(Registry::instance().snapshot(), out);
@@ -249,8 +337,10 @@ TEST(ObsExport, MetricsCsvListsEveryInstrumentKind) {
   EXPECT_NE(csv.find("counter,test.csv_counter,value,3"), std::string::npos);
   EXPECT_NE(csv.find("gauge,test.csv_gauge,value,7"), std::string::npos);
   EXPECT_NE(csv.find("histogram,test.csv_hist,count,"), std::string::npos);
-  EXPECT_NE(csv.find("le_1"), std::string::npos);
-  EXPECT_NE(csv.find("le_inf"), std::string::npos);
+  // One row per non-empty bin, labelled by its upper edge: 5 is the lower
+  // edge of [5, 5.5).  Empty bins (the overflow bin here) print nothing.
+  EXPECT_NE(csv.find("histogram,test.csv_hist,le_5.5,1"), std::string::npos);
+  EXPECT_EQ(csv.find("histogram,test.csv_hist,le_inf"), std::string::npos);
 }
 
 TEST(ObsExport, MetricsTableHasOneRowPerInstrument) {

@@ -22,8 +22,6 @@
 //   gppm serve <gpu> --listen PORT      put the prediction server on the
 //                                       wire (gppm::net RPC; port 0 picks
 //                                       an ephemeral port, printed on start)
-//   gppm serve-bench <gpu> [options]    replay a synthetic trace against the
-//                                       concurrent prediction server
 //   gppm chaos <gpu> [options]          characterize under injected
 //                                       instrument faults; report coverage
 //                                       and divergence vs the fault-free run
@@ -72,7 +70,6 @@
 #include "obs/obs.hpp"
 #include "profiler/cuda_profiler.hpp"
 #include "serve/server.hpp"
-#include "serve/trace.hpp"
 #include "workload/suite.hpp"
 
 using namespace gppm;
@@ -100,8 +97,6 @@ int usage(std::ostream& out, int code) {
          " [--duration S]\n"
          "                  [--cluster N [--replicas R] [--supervise]"
          " [--admission]]\n"
-         "  gppm serve-bench <gpu> [--requests N] [--workers N] [--clients N]"
-         " [--cache N] [--jitter F]\n"
          "  gppm chaos <gpu> [--fault-profile FILE] [--seed N]"
          " [--benchmarks N]\n"
          "  gppm mix <gpu> [--mixes N] [--degree D] [--seed N] [--fit]\n"
@@ -596,79 +591,6 @@ int cmd_serve(int argc, char** argv) {
   return 0;
 }
 
-int cmd_serve_bench(int argc, char** argv) {
-  // gppm serve-bench <gpu> [--requests N] [--workers N] [--clients N]
-  //                        [--cache N] [--jitter F]
-  if (argc < 3) return usage();
-  const sim::GpuModel model = parse_gpu(argv[2]);
-  std::size_t requests = 5000, workers = 4, clients = 4, cache = 1 << 16;
-  double jitter = 0.0;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--requests" && has_value) {
-      requests = std::stoul(argv[++i]);
-    } else if (arg == "--workers" && has_value) {
-      workers = std::stoul(argv[++i]);
-    } else if (arg == "--clients" && has_value) {
-      clients = std::stoul(argv[++i]);
-    } else if (arg == "--cache" && has_value) {
-      cache = std::stoul(argv[++i]);
-    } else if (arg == "--jitter" && has_value) {
-      jitter = std::stod(argv[++i]);
-    } else {
-      return usage();
-    }
-  }
-  if (requests == 0 || workers == 0 || clients == 0) return usage();
-
-  std::cout << "fitting models for " << sim::to_string(model)
-            << " (extended form)...\n";
-  const core::Dataset ds = core::build_dataset(model);
-  core::ModelOptions popt;
-  popt.scaling = core::FeatureScaling::VoltageSquaredFrequency;
-  popt.include_baseline_terms = true;
-
-  serve::ServerOptions sopt;
-  sopt.worker_threads = workers;
-  sopt.cache_capacity = cache;
-  serve::PredictionServer server(sopt);
-  server.load_models(core::UnifiedModel::fit(ds, core::TargetKind::Power, popt),
-                     core::UnifiedModel::fit(ds, core::TargetKind::ExecTime));
-
-  const serve::PhaseCorpus corpus = serve::build_phase_corpus(model);
-  serve::TraceOptions topt;
-  topt.request_count = requests;
-  topt.counter_jitter = jitter;
-  const std::vector<serve::Request> trace = serve::synthetic_trace(corpus, topt);
-  std::cout << corpus.counters.size() << " phases, " << trace.size()
-            << " requests, " << clients << " closed-loop clients, " << workers
-            << " workers\n";
-
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> pool;
-  pool.reserve(clients);
-  for (std::size_t c = 0; c < clients; ++c) {
-    pool.emplace_back([&, c] {
-      for (std::size_t i = c; i < trace.size(); i += clients) {
-        server.submit(trace[i]).get();
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  server.shutdown();
-  server.metrics().print(std::cout);
-  std::cout << "replayed " << trace.size() << " requests in "
-            << format_double(elapsed, 3) << " s = "
-            << format_double(static_cast<double>(trace.size()) / elapsed, 0)
-            << " req/s\n";
-  return 0;
-}
-
 int cmd_chaos(int argc, char** argv) {
   // gppm chaos <gpu> [--fault-profile FILE] [--seed N] [--benchmarks N]
   if (argc < 3) return usage();
@@ -915,7 +837,6 @@ int main(int argc, char** argv) {
     else if (cmd == "governor") rc = cmd_governor(argc, argv);
     else if (cmd == "govern") rc = cmd_govern(argc, argv);
     else if (cmd == "serve") rc = cmd_serve(argc, argv);
-    else if (cmd == "serve-bench") rc = cmd_serve_bench(argc, argv);
     else if (cmd == "chaos") rc = cmd_chaos(argc, argv);
     else if (cmd == "mix") rc = cmd_mix(argc, argv);
     else if (cmd == "obs-demo") rc = cmd_obs_demo();
