@@ -17,7 +17,11 @@
 // striding the input (element i lands in lane i % 8), spilled to an array
 // and combined by one shared expression.  IEEE-754 arithmetic is
 // deterministic per operation, so two backends running the same tree over
-// the same input produce the same bits, NaNs and denormals included.  The
+// the same input produce the same bits, denormals included.  NaN is the
+// one exception IEEE leaves open: which operand's NaN an add returns (and
+// so its sign bit) depends on operand order, which the compiler may swap.
+// combine8 therefore returns the canonical quiet NaN (0x7ff8000000000000)
+// whenever the result is NaN, so every backend yields the same bits.  The
 // `simd` ctest label pins this: kernels are compared bitwise against
 // gppm::simd::scalar::* (always compiled) on randomized inputs, and a
 // -DGPPM_SIMD=off build must reproduce the default build's model
@@ -28,7 +32,9 @@
 // one backend and not another.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
 
 #if defined(GPPM_SIMD_FORCE_SCALAR)
 // Scalar fallback requested (-DGPPM_SIMD=off): no ISA headers.
@@ -51,10 +57,13 @@ namespace gppm::simd {
 inline constexpr std::size_t kAccumLanes = 8;
 
 /// Combine the eight spilled accumulator lanes.  One shared tree shape for
-/// every backend; changing it changes every artifact, so don't.
+/// every backend; changing it changes every artifact, so don't.  A NaN
+/// result comes back as the canonical quiet NaN whatever its sign or
+/// payload was (see the header comment).
 inline double combine8(const double lanes[kAccumLanes]) {
-  return ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6])) +
-         ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
+  const double r = ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6])) +
+                   ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
+  return std::isnan(r) ? std::numeric_limits<double>::quiet_NaN() : r;
 }
 
 /// Reference kernels: the canonical 8-lane tree written out scalarly.

@@ -145,25 +145,33 @@ UnifiedModel UnifiedModel::from_parts(Parts parts) {
 
 double UnifiedModel::predict(const profiler::ProfileResult& counters,
                              sim::FrequencyPair pair) const {
+  // Every variable reads its reading in place; the baseline
+  // pseudo-readings are built once per process for that.
+  static const profiler::CounterReading kBaselineCore =
+      baseline_reading(profiler::EventClass::Core);
+  static const profiler::CounterReading kBaselineMem =
+      baseline_reading(profiler::EventClass::Memory);
   const sim::DeviceSpec& spec = sim::device_spec(gpu_);
   double acc = intercept_;
   for (std::size_t i = 0; i < variables_.size(); ++i) {
     const std::size_t idx = counter_indices_[i];
-    profiler::CounterReading reading;
+    const SelectedVariable& variable = variables_[i];
+    const profiler::CounterReading* reading = nullptr;
     if (idx < counters.counters.size()) {
-      reading = counters.counters[idx];
-      GPPM_CHECK(reading.name == variables_[i].counter,
-                 "counter order mismatch: expected " + variables_[i].counter);
+      reading = &counters.counters[idx];
+      GPPM_CHECK(reading->name == variable.counter,
+                 "counter order mismatch: expected " + variable.counter);
     } else {
       // A mix-term model cannot be driven by a profile that lacks the mix
       // pseudo-counters — that would silently substitute a unit baseline.
-      GPPM_CHECK(!is_mix_feature(variables_[i].counter),
-                 "profile lacks mix pseudo-counter " + variables_[i].counter);
+      GPPM_CHECK(!is_mix_feature(variable.counter),
+                 "profile lacks mix pseudo-counter " + variable.counter);
       // Baseline pseudo-feature (extension): unit-rate reading.
-      reading = baseline_reading(variables_[i].klass);
+      reading = variable.klass == profiler::EventClass::Core ? &kBaselineCore
+                                                              : &kBaselineMem;
     }
-    acc += variables_[i].coefficient *
-           feature_value(reading, pair, spec, target_, scaling_);
+    acc += variable.coefficient *
+           feature_value(*reading, pair, spec, target_, scaling_);
   }
   return acc;
 }

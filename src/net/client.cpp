@@ -150,16 +150,13 @@ void Client::raise_error_reply(const Frame& frame) {
   throw RpcError(error.code, error.message);
 }
 
-Frame Client::call(FrameType type, const std::vector<std::uint8_t>& payload,
-                   std::uint64_t deadline_micros, std::uint8_t version) {
+Frame Client::call(const std::vector<std::uint8_t>& bytes) {
   obs::ObsSpan span("net.client.rpc");
   const auto start = std::chrono::steady_clock::now();
   Conn& conn =
       *pool_[next_conn_.fetch_add(1, std::memory_order_relaxed) %
              pool_.size()];
   std::lock_guard<std::mutex> lock(conn.mutex);
-  const std::vector<std::uint8_t> bytes =
-      encode_frame(type, payload, deadline_micros, version);
 
   // Manual retry loop rather than retry_call: backoff here is real sleep
   // on a live transport, not the acquisition layer's virtual time.  The
@@ -209,13 +206,15 @@ std::vector<serve::Response> Client::predict_batch(
 
   const std::uint64_t base = next_request_id_.fetch_add(
       requests.size(), std::memory_order_relaxed);
+  // Each frame is encoded straight onto the end of the batch buffer; the
+  // payload writer is reused across the batch.
   std::vector<std::uint8_t> bytes;
+  WireWriter payload;
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const std::vector<std::uint8_t> one = encode_frame(
-        FrameType::PredictRequest, encode_predict_request(base + i, requests[i]),
-        deadline_to_micros(requests[i].deadline),
-        predict_request_version(requests[i]));
-    bytes.insert(bytes.end(), one.begin(), one.end());
+    payload.clear();
+    encode_predict_request_into(payload, base + i, requests[i]);
+    encode_frame_into(bytes, FrameType::PredictRequest, payload.data(),
+                      deadline_to_micros(requests[i].deadline));
   }
 
   Conn& conn =
@@ -282,10 +281,12 @@ std::vector<serve::Response> Client::predict_batch(
 serve::Response Client::predict(const serve::Request& request) {
   const std::uint64_t id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  const Frame frame =
-      call(FrameType::PredictRequest, encode_predict_request(id, request),
-           deadline_to_micros(request.deadline),
-           predict_request_version(request));
+  WireWriter payload;
+  encode_predict_request_into(payload, id, request);
+  std::vector<std::uint8_t> bytes;
+  encode_frame_into(bytes, FrameType::PredictRequest, payload.data(),
+                    deadline_to_micros(request.deadline));
+  const Frame frame = call(bytes);
   if (frame.header.type != FrameType::PredictResponse) {
     throw ProtocolError("expected PredictResponse, got " +
                         to_string(frame.header.type));
@@ -299,7 +300,7 @@ serve::Response Client::predict(const serve::Request& request) {
 }
 
 ServerInfo Client::info() {
-  const Frame frame = call(FrameType::InfoRequest, {}, 0);
+  const Frame frame = call(encode_frame(FrameType::InfoRequest, {}));
   if (frame.header.type != FrameType::InfoResponse) {
     throw ProtocolError("expected InfoResponse, got " +
                         to_string(frame.header.type));
@@ -310,7 +311,7 @@ ServerInfo Client::info() {
 void Client::ping() {
   const std::uint64_t token =
       next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  const Frame frame = call(FrameType::Ping, encode_ping(token), 0);
+  const Frame frame = call(encode_frame(FrameType::Ping, encode_ping(token)));
   if (frame.header.type != FrameType::Pong) {
     throw ProtocolError("expected Pong, got " + to_string(frame.header.type));
   }
@@ -323,7 +324,7 @@ HealthStatus Client::health() {
   const std::uint64_t token =
       next_request_id_.fetch_add(1, std::memory_order_relaxed);
   const Frame frame =
-      call(FrameType::HealthRequest, encode_health_request(token), 0);
+      call(encode_frame(FrameType::HealthRequest, encode_health_request(token)));
   if (frame.header.type != FrameType::HealthResponse) {
     throw ProtocolError("expected HealthResponse, got " +
                         to_string(frame.header.type));

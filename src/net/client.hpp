@@ -150,10 +150,9 @@ class Client {
     std::chrono::steady_clock::time_point last_used{};
   };
 
-  /// Send `payload` as a `type` frame and read the next frame back,
-  /// reconnecting and resending on transport failure per options_.retry.
-  Frame call(FrameType type, const std::vector<std::uint8_t>& payload,
-             std::uint64_t deadline_micros, std::uint8_t version = 0);
+  /// Send one encoded frame and read the next frame back, reconnecting
+  /// and resending on transport failure per options_.retry.
+  Frame call(const std::vector<std::uint8_t>& bytes);
   Frame attempt(Conn& conn, const std::vector<std::uint8_t>& bytes);
   /// Block until the next whole frame arrives on `conn`.
   Frame read_frame(Conn& conn);

@@ -16,6 +16,8 @@ std::uint8_t frame_min_version(FrameType type) {
     case FrameType::HealthRequest:
     case FrameType::HealthResponse:
       return 2;
+    case FrameType::PredictRequest:
+      return 4;
     default:
       return kBaseProtocolVersion;
   }
@@ -38,16 +40,13 @@ std::string to_string(FrameType type) {
 
 void encode_frame_into(std::vector<std::uint8_t>& out, FrameType type,
                        std::span<const std::uint8_t> payload,
-                       std::uint64_t deadline_micros, std::uint8_t version) {
+                       std::uint64_t deadline_micros) {
   GPPM_CHECK(payload.size() <= 0xffffffffull, "frame payload too large");
-  if (version == 0) version = frame_min_version(type);
-  GPPM_CHECK(version >= frame_min_version(type) && version <= kProtocolVersion,
-             "frame version outside this build's range");
   // Stage the full header in a stack array and append it with one insert —
   // two bulk inserts per frame instead of a dozen field-sized pushes.
   std::array<std::uint8_t, kFrameHeaderSize> head;
   std::copy(kFrameMagic.begin(), kFrameMagic.end(), head.begin());
-  head[4] = version;
+  head[4] = frame_min_version(type);
   head[5] = static_cast<std::uint8_t>(type);
   head[6] = 0;  // flags, reserved
   head[7] = 0;
@@ -69,10 +68,9 @@ void encode_frame_into(std::vector<std::uint8_t>& out, FrameType type,
 
 std::vector<std::uint8_t> encode_frame(FrameType type,
                                        std::span<const std::uint8_t> payload,
-                                       std::uint64_t deadline_micros,
-                                       std::uint8_t version) {
+                                       std::uint64_t deadline_micros) {
   std::vector<std::uint8_t> out;
-  encode_frame_into(out, type, payload, deadline_micros, version);
+  encode_frame_into(out, type, payload, deadline_micros);
   return out;
 }
 

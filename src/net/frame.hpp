@@ -4,7 +4,7 @@
 //
 //   offset  size  field
 //        0     4  magic "GPPM"
-//        4     1  protocol version (kProtocolVersion)
+//        4     1  protocol version (frame_min_version of the type)
 //        5     1  frame type (FrameType)
 //        6     2  flags (LE u16, reserved — must be zero)
 //        8     4  payload size (LE u32)
@@ -38,21 +38,23 @@ namespace gppm::net {
 inline constexpr std::array<std::uint8_t, 4> kFrameMagic = {'G', 'P', 'P',
                                                             'M'};
 /// Highest protocol version this build speaks.  Version 2 added the
-/// health frame pair (HealthRequest/HealthResponse); version 3 added the
-/// optional tenant-id trailer on PredictRequest payloads (tenant-0
-/// requests keep the version-1 byte layout, so legacy peers interoperate
-/// untouched until a nonzero tenant actually rides the wire).
-inline constexpr std::uint8_t kProtocolVersion = 3;
-/// The original wire version.  Every pre-health frame type is still
-/// emitted at this version so a v1-only peer interoperates untouched on
-/// the predict path; only the newer frame kinds ride a v2 header, which a
-/// v1 peer rejects cleanly (ProtocolError -> typed ErrorReply + drop)
-/// instead of mis-parsing.
+/// health frame pair (HealthRequest/HealthResponse); version 3 added a
+/// tenant-id trailer on PredictRequest payloads; version 4 replaced the
+/// PredictRequest payload with the catalog-ordered dense layout
+/// (protocol.hpp), so PredictRequest frames are stamped v4 and an older
+/// peer rejects them cleanly instead of mis-parsing.
+inline constexpr std::uint8_t kProtocolVersion = 4;
+/// The original wire version.  Frame types whose layout never changed
+/// (ping, info, predict response, error reply) are still emitted at this
+/// version; newer or re-laid-out kinds ride the version that defines them,
+/// which an older peer rejects cleanly (ProtocolError -> typed ErrorReply
+/// + drop) instead of mis-parsing.
 inline constexpr std::uint8_t kBaseProtocolVersion = 1;
 inline constexpr std::size_t kFrameHeaderSize = 24;
-/// Default per-frame payload cap.  A full Kepler counter vector with names
-/// is ~5 KiB; 1 MiB leaves two orders of magnitude of headroom while
-/// bounding what one frame can make a peer buffer.
+/// Default per-frame payload cap.  A full Kepler counter vector is
+/// ~1.7 KiB dense and ~4.4 KiB with every reading named; 1 MiB leaves two
+/// orders of magnitude of headroom while bounding what one frame can make
+/// a peer buffer.
 inline constexpr std::size_t kDefaultMaxPayload = 1u << 20;
 
 /// Message kinds understood by this protocol version.
@@ -61,7 +63,7 @@ enum class FrameType : std::uint8_t {
   Pong = 2,             ///< u64 token
   InfoRequest = 3,      ///< empty payload
   InfoResponse = 4,     ///< boards + model fingerprints (protocol.hpp)
-  PredictRequest = 5,   ///< request id + serve::Request
+  PredictRequest = 5,   ///< v4: request id + serve::Request (dense layout)
   PredictResponse = 6,  ///< request id + serve::Response
   ErrorReply = 7,       ///< u16 code + message; sent before dropping a peer
   HealthRequest = 8,    ///< v2: u64 token; answered off the predict path
@@ -72,8 +74,9 @@ enum class FrameType : std::uint8_t {
 bool frame_type_known(std::uint8_t raw,
                       std::uint8_t version = kProtocolVersion);
 
-/// The lowest protocol version that defines `type` — the version a frame
-/// of that type is stamped with on the wire.
+/// The protocol version that defines `type`'s current layout — the
+/// version a frame of that type is stamped with on the wire, and the
+/// lowest one a decoder accepts it at.
 std::uint8_t frame_min_version(FrameType type);
 
 std::string to_string(FrameType type);
@@ -103,29 +106,24 @@ struct FrameView {
 };
 
 /// Serialize one frame onto the end of `out` (header computed from the
-/// payload).  `version` 0 stamps frame_min_version(type), so legacy
-/// traffic stays v1 on the wire; codecs whose payload uses a newer layout
-/// (a tenant-carrying PredictRequest) pass the version that layout
-/// requires.  Appending lets a writer batch several frames into one
-/// buffer and one socket write.
+/// payload), stamped with frame_min_version(type).  Appending lets a
+/// writer batch several frames into one buffer and one socket write.
 void encode_frame_into(std::vector<std::uint8_t>& out, FrameType type,
                        std::span<const std::uint8_t> payload,
-                       std::uint64_t deadline_micros = 0,
-                       std::uint8_t version = 0);
+                       std::uint64_t deadline_micros = 0);
 
 /// Serialize one frame into a fresh buffer (wraps encode_frame_into).
 std::vector<std::uint8_t> encode_frame(FrameType type,
                                        std::span<const std::uint8_t> payload,
-                                       std::uint64_t deadline_micros = 0,
-                                       std::uint8_t version = 0);
+                                       std::uint64_t deadline_micros = 0);
 /// Convenience overload so braced payload literals ({0x01, 0x02}, {})
 /// keep working; vectors go through the span overload.
 inline std::vector<std::uint8_t> encode_frame(
     FrameType type, std::initializer_list<std::uint8_t> payload,
-    std::uint64_t deadline_micros = 0, std::uint8_t version = 0) {
+    std::uint64_t deadline_micros = 0) {
   return encode_frame(
       type, std::span<const std::uint8_t>(payload.begin(), payload.size()),
-      deadline_micros, version);
+      deadline_micros);
 }
 
 /// Incremental frame reassembler over an arbitrarily chunked byte stream.
@@ -133,9 +131,10 @@ class FrameDecoder {
  public:
   /// `max_version` caps the protocol versions this decoder accepts
   /// (inclusive; the floor is kBaseProtocolVersion).  The default speaks
-  /// everything this build knows; passing kBaseProtocolVersion simulates a
-  /// v1-only peer, which the version-gating tests use to prove newer frame
-  /// kinds are rejected cleanly rather than mis-parsed.
+  /// everything this build knows; a lower cap simulates an older peer
+  /// (kBaseProtocolVersion a v1-only one, 3 a pre-dense-layout one), which
+  /// the version-gating tests use to prove newer frame kinds are rejected
+  /// cleanly rather than mis-parsed.
   explicit FrameDecoder(std::size_t max_payload = kDefaultMaxPayload,
                         std::uint8_t max_version = kProtocolVersion)
       : max_payload_(max_payload), max_version_(max_version) {}

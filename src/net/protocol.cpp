@@ -1,6 +1,10 @@
 #include "net/protocol.hpp"
 
+#include <bit>
 #include <cmath>
+
+#include "gpusim/device_spec.hpp"
+#include "profiler/counters.hpp"
 
 namespace gppm::net {
 
@@ -28,10 +32,44 @@ sim::FrequencyPair decode_pair(WireReader& r) {
   return pair;
 }
 
-void encode_counters(WireWriter& w, const profiler::ProfileResult& counters) {
-  GPPM_CHECK(counters.counters.size() <= 0xffff, "too many counters");
-  w.u16(static_cast<std::uint16_t>(counters.counters.size()));
-  for (const profiler::CounterReading& c : counters.counters) {
+const std::vector<profiler::CounterDef>& board_catalog(sim::GpuModel gpu) {
+  return profiler::counter_catalog(sim::device_spec(gpu).architecture);
+}
+
+/// True when the leading readings of `counters` are `catalog`, in order
+/// and with matching names and classes — the dense block's precondition.
+bool leads_with_catalog(const profiler::ProfileResult& counters,
+                        const std::vector<profiler::CounterDef>& catalog) {
+  if (counters.counters.size() < catalog.size()) return false;
+  for (std::size_t i = 0; i < catalog.size(); ++i) {
+    const profiler::CounterReading& r = counters.counters[i];
+    if (r.klass != catalog[i].klass || r.name != catalog[i].name) return false;
+  }
+  return true;
+}
+
+void encode_counters(WireWriter& w, const profiler::ProfileResult& counters,
+                     const std::vector<profiler::CounterDef>& catalog) {
+  const bool dense = leads_with_catalog(counters, catalog);
+  // Room for the dense block (or the numeric part of the named form) in
+  // one step; only long tail names can grow the buffer again.
+  w.reserve(w.size() + 32 + 16 * counters.counters.size());
+  w.u8(dense ? 1 : 0);
+  std::size_t first_named = 0;
+  if (dense) {
+    std::uint8_t* out = w.extend(16 * catalog.size());
+    for (std::size_t i = 0; i < catalog.size(); ++i) {
+      const profiler::CounterReading& r = counters.counters[i];
+      store_le64(out + 16 * i, std::bit_cast<std::uint64_t>(r.total));
+      store_le64(out + 16 * i + 8, std::bit_cast<std::uint64_t>(r.per_second));
+    }
+    first_named = catalog.size();
+  }
+  const std::size_t named = counters.counters.size() - first_named;
+  GPPM_CHECK(named <= 0xffff, "too many counters");
+  w.u16(static_cast<std::uint16_t>(named));
+  for (std::size_t i = first_named; i < counters.counters.size(); ++i) {
+    const profiler::CounterReading& c = counters.counters[i];
     w.str(c.name);
     w.u8(static_cast<std::uint8_t>(c.klass));
     w.f64(c.total);
@@ -40,24 +78,36 @@ void encode_counters(WireWriter& w, const profiler::ProfileResult& counters) {
   w.f64(counters.run_time.as_seconds());
 }
 
-profiler::ProfileResult decode_counters(WireReader& r) {
-  profiler::ProfileResult result;
-  const std::size_t count = r.u16();
-  // Each reading is at least 19 bytes (empty name); a count the remaining
-  // bytes cannot possibly hold is rejected before reserving for it.
-  if (count * 19 > r.remaining()) {
-    throw ProtocolError("counter count " + std::to_string(count) +
+profiler::ProfileResult decode_counters(
+    WireReader& r, const std::vector<profiler::CounterDef>& catalog) {
+  const std::uint8_t dense = r.u8();
+  if (dense > 1) throw ProtocolError("bad dense-block flag");
+  const std::size_t dense_count = dense ? catalog.size() : 0;
+  const std::uint8_t* block = r.bytes(16 * dense_count, "dense counter block");
+  const std::size_t named = r.u16();
+  // Each named reading is at least 19 bytes (empty name) and the run time
+  // follows; a count the remaining bytes cannot possibly hold is rejected
+  // before reserving for it.
+  if (named * 19 + 8 > r.remaining()) {
+    throw ProtocolError("counter count " + std::to_string(named) +
                         " exceeds payload");
   }
-  result.counters.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    profiler::CounterReading reading;
+  profiler::ProfileResult result;
+  result.counters.resize(dense_count + named);
+  for (std::size_t i = 0; i < dense_count; ++i) {
+    profiler::CounterReading& reading = result.counters[i];
+    reading.name = catalog[i].name;
+    reading.klass = catalog[i].klass;
+    reading.total = std::bit_cast<double>(load_le64(block + 16 * i));
+    reading.per_second = std::bit_cast<double>(load_le64(block + 16 * i + 8));
+  }
+  for (std::size_t i = dense_count; i < result.counters.size(); ++i) {
+    profiler::CounterReading& reading = result.counters[i];
     reading.name = r.str();
     reading.klass =
         checked_enum<profiler::EventClass>(r.u8(), 2, "event class");
     reading.total = r.f64();
     reading.per_second = r.f64();
-    result.counters.push_back(std::move(reading));
   }
   result.run_time = Duration::seconds(r.f64());
   return result;
@@ -75,23 +125,22 @@ Duration deadline_from_micros(std::uint64_t micros) {
   return Duration::microseconds(static_cast<double>(micros));
 }
 
-std::vector<std::uint8_t> encode_predict_request(
-    std::uint64_t request_id, const serve::Request& request) {
-  WireWriter w;
+void encode_predict_request_into(WireWriter& w, std::uint64_t request_id,
+                                 const serve::Request& request) {
   w.u64(request_id);
   w.u8(static_cast<std::uint8_t>(request.kind));
   w.u8(static_cast<std::uint8_t>(request.gpu));
   w.u8(static_cast<std::uint8_t>(request.policy));
   encode_pair(w, request.pair);
-  encode_counters(w, request.counters);
-  // Tenant trailer (v3): only a nonzero tenant changes the byte layout, so
-  // tenant-0 traffic stays bit-identical to what a v1 peer expects.
-  if (request.tenant != 0) w.u32(request.tenant);
-  return w.take();
+  w.u32(request.tenant);
+  encode_counters(w, request.counters, board_catalog(request.gpu));
 }
 
-std::uint8_t predict_request_version(const serve::Request& request) {
-  return request.tenant != 0 ? 3 : kBaseProtocolVersion;
+std::vector<std::uint8_t> encode_predict_request(
+    std::uint64_t request_id, const serve::Request& request) {
+  WireWriter w;
+  encode_predict_request_into(w, request_id, request);
+  return w.take();
 }
 
 DecodedRequest decode_predict_request(std::span<const std::uint8_t> payload,
@@ -106,16 +155,10 @@ DecodedRequest decode_predict_request(std::span<const std::uint8_t> payload,
   decoded.request.policy =
       checked_enum<core::GovernorPolicy>(r.u8(), 3, "governor policy");
   decoded.request.pair = decode_pair(r);
-  decoded.request.counters = decode_counters(r);
+  decoded.request.tenant = r.u32();
+  decoded.request.counters =
+      decode_counters(r, board_catalog(decoded.request.gpu));
   decoded.request.deadline = deadline_from_micros(deadline_micros);
-  if (r.remaining() == 4) {
-    decoded.request.tenant = r.u32();
-    // The trailer exists precisely because the tenant is nonzero; a zero
-    // here means the encoder and decoder disagree about the layout.
-    if (decoded.request.tenant == 0) {
-      throw ProtocolError("tenant trailer carries tenant 0");
-    }
-  }
   r.expect_done("predict-request");
   return decoded;
 }

@@ -68,18 +68,27 @@ struct DecodedResponse {
 // std::vector payload converts implicitly, so copy-holding callers (the
 // client, the tests) are untouched.
 
-// --- PredictRequest -------------------------------------------------------
-/// Tenant-0 requests encode to the original (v1) byte layout; a nonzero
-/// tenant appends a u32 tenant-id trailer, and the frame carrying the
-/// payload must be stamped with predict_request_version(request) so a
-/// pre-v3 peer rejects it cleanly instead of mis-parsing the trailer.
+// --- PredictRequest (protocol v4) ------------------------------------------
+/// Layout: u64 request id, u8 kind, u8 gpu, u8 policy, u8 core level,
+/// u8 memory level, u32 tenant, u8 dense flag; if the flag is 1, one
+/// (f64 total, f64 per_second) pair per entry of the board's counter
+/// catalog (profiler::counter_catalog of the gpu's architecture), in
+/// catalog order; then a u16 count of named readings, each (str name,
+/// u8 event class, f64 total, f64 per_second); then f64 run time.
+///
+/// The dense block is used when the profile's leading readings are the
+/// catalog in order (same names and classes) — every profiler-produced
+/// profile.  Names and classes are then not sent: the decoder fills them
+/// in from the catalog.  Readings past the catalog (mix pseudo-counters)
+/// and every reading of a profile that does not lead with the catalog go
+/// in the named tail.  Frames carrying this payload are stamped v4.
 std::vector<std::uint8_t> encode_predict_request(std::uint64_t request_id,
                                                  const serve::Request& request);
+/// Arena variant: append the payload to `w` (not cleared first).
+void encode_predict_request_into(WireWriter& w, std::uint64_t request_id,
+                                 const serve::Request& request);
 DecodedRequest decode_predict_request(std::span<const std::uint8_t> payload,
                                       std::uint64_t deadline_micros);
-/// The frame version a PredictRequest payload requires: the base version
-/// for tenant 0, version 3 once a tenant trailer rides along.
-std::uint8_t predict_request_version(const serve::Request& request);
 
 // --- PredictResponse ------------------------------------------------------
 std::vector<std::uint8_t> encode_predict_response(

@@ -85,7 +85,7 @@ void WireWriter::u32(std::uint32_t v) {
 
 void WireWriter::u64(std::uint64_t v) {
   std::uint8_t b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  store_le64(b, v);
   buffer_.insert(buffer_.end(), b, b + 8);
 }
 
@@ -104,6 +104,12 @@ void WireWriter::str(std::string_view s) {
 
 void WireWriter::bytes(const std::uint8_t* data, std::size_t size) {
   buffer_.insert(buffer_.end(), data, data + size);
+}
+
+std::uint8_t* WireWriter::extend(std::size_t n) {
+  const std::size_t at = buffer_.size();
+  buffer_.resize(at + n);
+  return buffer_.data() + at;
 }
 
 const std::uint8_t* WireReader::need(std::size_t n, const char* what) {
@@ -129,12 +135,7 @@ std::uint32_t WireReader::u32() {
   return v;
 }
 
-std::uint64_t WireReader::u64() {
-  const std::uint8_t* p = need(8, "u64");
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
+std::uint64_t WireReader::u64() { return load_le64(need(8, "u64")); }
 
 double WireReader::f64() {
   const std::uint64_t bits = u64();

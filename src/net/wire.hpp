@@ -15,8 +15,10 @@
 // which the client retry path absorbs.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -59,6 +61,26 @@ std::uint32_t crc32_reference(const std::uint8_t* data, std::size_t size);
 /// Longest string the wire format can carry (u16 length prefix).
 inline constexpr std::size_t kMaxWireString = 0xffff;
 
+/// Little-endian u64 store/load over raw bytes: one unaligned move on a
+/// little-endian host (GCC does not fuse the byte loop on its own), byte
+/// composition elsewhere.
+inline void store_le64(std::uint8_t* p, std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof v);
+  } else {
+    for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+inline std::uint64_t load_le64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof v);
+  } else {
+    for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
+  }
+  return v;
+}
+
 /// Append-only little-endian field writer.  Multi-byte fields are staged
 /// in a stack buffer and appended with one bulk insert (a single unaligned
 /// store after optimization), not byte-by-byte push_backs.
@@ -83,6 +105,9 @@ class WireWriter {
   /// (an encode-side bug, not a protocol error).
   void str(std::string_view s);
   void bytes(const std::uint8_t* data, std::size_t size);
+  /// Append `n` bytes and return where they start, for a caller that fills
+  /// a bulk run itself (valid until the next append).
+  std::uint8_t* extend(std::size_t n);
 
   const std::vector<std::uint8_t>& data() const { return buffer_; }
   std::vector<std::uint8_t> take() { return std::move(buffer_); }
@@ -114,6 +139,10 @@ class WireReader {
   std::uint64_t u64();
   double f64();
   std::string str();
+  /// Borrow the next `n` bytes as one bulk run (bounds-checked once).
+  const std::uint8_t* bytes(std::size_t n, const char* what) {
+    return need(n, what);
+  }
 
   std::size_t remaining() const { return size_ - pos_; }
   bool done() const { return pos_ == size_; }

@@ -26,22 +26,74 @@ std::uint64_t double_bits(double v) {
   return bits;
 }
 
+constexpr std::uint64_t kLaneMul = 0x9e3779b97f4a7c15ull;
+
+/// One multiply–xorshift: fold word `v` into lane state `h`.
+inline std::uint64_t lane_step(std::uint64_t h, std::uint64_t v) {
+  h = (h ^ v) * kLaneMul;
+  return h ^ (h >> 32);
+}
+
+/// Eight bytes of a name in host byte order (the fingerprint never leaves
+/// the process).
+inline std::uint64_t name_word(const char* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof w);
+  return w;
+}
+
 }  // namespace
 
 std::uint64_t counters_fingerprint(const profiler::ProfileResult& counters) {
-  std::uint64_t h = kFnvOffset;
-  mix(h, counters.counters.size());
-  mix(h, double_bits(counters.run_time.as_seconds()));
+  // Four independent lanes, so a reading's words mix in parallel instead
+  // of along one serial chain: lanes a and d take a name's words in
+  // turn, lane b its length and class and then its total, lane c its
+  // per-second rate.
+  std::uint64_t a = 0x243f6a8885a308d3ull;
+  std::uint64_t b = 0x13198a2e03707344ull;
+  std::uint64_t c = 0xa4093822299f31d0ull;
+  std::uint64_t d = 0x082efa98ec4e6c89ull;
+  a = lane_step(a, counters.counters.size());
+  c = lane_step(c, double_bits(counters.run_time.as_seconds()));
   for (const profiler::CounterReading& r : counters.counters) {
     // Counter identity matters: two profiles with identical numerics but
     // different names/classes (e.g. different architecture catalogs) must
     // not collide, or the cache returns a wrong prediction.
-    mix(h, fnv1a(r.name));
-    mix(h, static_cast<std::uint64_t>(r.klass));
-    mix(h, double_bits(r.total));
-    mix(h, double_bits(r.per_second));
+    const char* p = r.name.data();
+    const std::size_t n = r.name.size();
+    b = lane_step(b, static_cast<std::uint64_t>(n) << 8 |
+                         static_cast<std::uint64_t>(r.klass));
+    if (n < 8) {
+      std::uint64_t w = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        w |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
+             << (8 * i);
+      }
+      a = lane_step(a, w);
+    } else {
+      // Whole words, then the name's last 8 bytes (overlapping the word
+      // before when the length is not a multiple of 8; the length is
+      // hashed, so the overlap is unambiguous).
+      std::size_t at = 0;
+      for (; at + 16 <= n; at += 16) {
+        a = lane_step(a, name_word(p + at));
+        d = lane_step(d, name_word(p + at + 8));
+      }
+      if (n - at > 8) {
+        a = lane_step(a, name_word(p + at));
+        d = lane_step(d, name_word(p + n - 8));
+      } else if (n > at) {
+        a = lane_step(a, name_word(p + n - 8));
+      }
+    }
+    b = lane_step(b, double_bits(r.total));
+    c = lane_step(c, double_bits(r.per_second));
   }
-  return h;
+  std::uint64_t h = lane_step(lane_step(lane_step(a, b), c), d);
+  // splitmix64's finalizer: full avalanche of the folded lanes.
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+  return h ^ (h >> 31);
 }
 
 std::uint64_t PredictionKey::hash() const {

@@ -9,10 +9,10 @@
 //
 // where the model fingerprint is core::model_fingerprint (stable across
 // serialization round-trips) and the counter fingerprint hashes every
-// reading's bit pattern.  The cache is sharded by key hash with one mutex
-// and one LRU list per shard, so concurrent workers rarely contend on the
-// same lock; hit/miss/eviction counts aggregate across shards for the
-// metrics report.
+// reading's identity and bit patterns.  The cache is sharded by key hash
+// with one mutex and one LRU list per shard, so concurrent workers rarely
+// contend on the same lock; hit/miss/eviction counts aggregate across
+// shards for the metrics report.
 #pragma once
 
 #include <cstdint>
@@ -27,11 +27,14 @@
 
 namespace gppm::serve {
 
-/// Fingerprint of a counter vector: FNV-1a over every reading's identity
-/// (name and event class) and bit patterns (totals and rates) plus the run
-/// time.  Identity is part of the key: profiles from different architecture
-/// catalogs can carry identical numerics under different counter names, and
-/// excluding the names made such profiles collide onto one cache entry.
+/// Fingerprint of a counter vector: a word-wise hash over the reading
+/// count, the run time, and every reading's identity (name and event
+/// class) and bit patterns (totals and rates).  Words feed four
+/// independent 64-bit lanes with one multiply–xorshift each; names go 8
+/// bytes per word.  Identity is part of the key: profiles from
+/// different architecture catalogs can carry identical numerics under
+/// different counter names, and excluding the names made such profiles
+/// collide onto one cache entry.
 std::uint64_t counters_fingerprint(const profiler::ProfileResult& counters);
 
 /// Cache key for one prediction.  `family` is the model-family id the

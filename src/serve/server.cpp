@@ -377,6 +377,10 @@ double PredictionServer::cached_predict(
     std::uint64_t counters_fp, std::uint64_t family,
     const profiler::ProfileResult& counters, sim::FrequencyPair pair,
     bool& all_hits) {
+  if (!cache_.enabled()) {
+    all_hits = false;
+    return model.predict(counters, pair);
+  }
   const PredictionKey key{model_fp, counters_fp, family, pair};
   double value = 0.0;
   if (cache_.lookup(key, value)) return value;
@@ -388,7 +392,9 @@ double PredictionServer::cached_predict(
 
 Response PredictionServer::handle(ModelEntry& entry, const Request& request,
                                   bool& cache_hit) {
-  const std::uint64_t cfp = counters_fingerprint(request.counters);
+  // With the cache off nothing reads the fingerprint, so it is not taken.
+  const std::uint64_t cfp =
+      cache_.enabled() ? counters_fingerprint(request.counters) : 0;
   // Cache entries are stamped with the *serving* family, which is 0 when a
   // tenant falls back to the board default — fallback tenants then share
   // the default family's cache entries instead of duplicating them.

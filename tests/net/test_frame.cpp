@@ -23,9 +23,9 @@ TEST(NetFrame, HeaderLayoutPinned) {
   EXPECT_EQ(bytes[1], 'P');
   EXPECT_EQ(bytes[2], 'P');
   EXPECT_EQ(bytes[3], 'M');
-  // Legacy frame kinds stay at the base version on the wire so v1-only
-  // peers interoperate untouched on the predict path.
-  EXPECT_EQ(bytes[4], kBaseProtocolVersion);
+  // A frame is stamped with the version that defines its type's layout:
+  // PredictRequest's dense layout is v4.
+  EXPECT_EQ(bytes[4], 4);
   EXPECT_EQ(bytes[5], static_cast<std::uint8_t>(FrameType::PredictRequest));
   EXPECT_EQ(bytes[6], 0);  // flags LE
   EXPECT_EQ(bytes[7], 0);
@@ -254,28 +254,39 @@ TEST(NetFrame, HealthFramesStampedV2AndRoundTrip) {
   EXPECT_EQ(frame->header.version, 2);
 }
 
-TEST(NetFrame, VersionOverrideStampsTenantFrames) {
-  // A codec can raise the stamped version above the type minimum (the v3
-  // tenant trailer rides a PredictRequest, whose minimum is v1)...
-  const std::vector<std::uint8_t> v3 = encode_frame(
-      FrameType::PredictRequest, {0x01}, /*deadline_micros=*/0, 3);
-  EXPECT_EQ(v3[4], 3);
+TEST(NetFrame, PredictRequestStampedV4AndV3PeerRejectsIt) {
+  // The dense PredictRequest layout is v4; a v3 peer's decoder rejects the
+  // frame by version instead of mis-parsing the payload...
+  const std::vector<std::uint8_t> v4 =
+      encode_frame(FrameType::PredictRequest, {0x01});
+  EXPECT_EQ(v4[4], 4);
+  EXPECT_EQ(frame_min_version(FrameType::PredictRequest), 4);
   FrameDecoder decoder;
-  decoder.feed(v3.data(), v3.size());
+  decoder.feed(v4.data(), v4.size());
   ASSERT_TRUE(decoder.next().has_value());
 
-  // ...and a pre-v3 peer rejects such a frame cleanly instead of
-  // mis-parsing the trailer it does not know about.
-  FrameDecoder old_peer(kDefaultMaxPayload, /*max_version=*/2);
-  old_peer.feed(v3.data(), v3.size());
-  EXPECT_THROW(old_peer.next(), ProtocolError);
+  FrameDecoder v3_peer(kDefaultMaxPayload, /*max_version=*/3);
+  v3_peer.feed(v4.data(), v4.size());
+  EXPECT_THROW(v3_peer.next(), ProtocolError);
 
-  // Below the type minimum or above the build maximum is a caller bug.
-  EXPECT_THROW(encode_frame(FrameType::HealthRequest, {0x01}, 0, 1),
-               Error);
-  EXPECT_THROW(encode_frame(FrameType::Ping, {0x01}, 0,
-                            kProtocolVersion + 1),
-               Error);
+  // ...and this build rejects a PredictRequest stamped v1-v3, whose
+  // payload would be the old named-only layout.
+  for (std::uint8_t old_version = 1; old_version <= 3; ++old_version) {
+    std::vector<std::uint8_t> old = v4;
+    old[4] = old_version;
+    FrameDecoder current;
+    current.feed(old.data(), old.size());
+    EXPECT_THROW(current.next(), ProtocolError) << int(old_version);
+  }
+
+  // The predict response layout did not change: still v1, so a v3 peer
+  // reads it.
+  const std::vector<std::uint8_t> resp =
+      encode_frame(FrameType::PredictResponse, {0x01});
+  EXPECT_EQ(resp[4], kBaseProtocolVersion);
+  FrameDecoder v3_reader(kDefaultMaxPayload, /*max_version=*/3);
+  v3_reader.feed(resp.data(), resp.size());
+  EXPECT_TRUE(v3_reader.next().has_value());
 }
 
 TEST(NetFrame, OldPeerRejectsHealthFrameCleanly) {
@@ -307,16 +318,17 @@ TEST(NetFrame, HealthFrameDowngradedToV1Rejected) {
 
 TEST(NetFrame, VersionedFuzzNeverCrashes) {
   // Same corruption contract as the unversioned fuzz, but against a
-  // v1-capped decoder and a corpus mixing v1 and v2 frames: every outcome
-  // is a typed error or a decoded frame, never a crash.
-  const std::vector<std::uint8_t> v1 =
+  // v1-capped decoder and a corpus mixing v4 (PredictRequest) and v2
+  // frames: every outcome is a typed error or a decoded frame, never a
+  // crash.
+  const std::vector<std::uint8_t> v4 =
       encode_frame(FrameType::PredictRequest, payload_bytes(), 77);
   const std::vector<std::uint8_t> v2 =
       encode_frame(FrameType::HealthResponse, payload_bytes());
   Rng rng(20260809);
   int errors = 0;
   for (int iter = 0; iter < 2000; ++iter) {
-    std::vector<std::uint8_t> bytes = (iter % 2 == 0) ? v1 : v2;
+    std::vector<std::uint8_t> bytes = (iter % 2 == 0) ? v4 : v2;
     const int flips = 1 + static_cast<int>(rng.uniform_index(4));
     for (int f = 0; f < flips; ++f) {
       const std::size_t pos = rng.uniform_index(bytes.size());

@@ -267,6 +267,37 @@ TEST(NetServer, GarbageBytesGetTypedErrorReplyThenDisconnect) {
           .ok());
 }
 
+TEST(NetServer, V3StampedPredictRequestGetsMalformedThenDisconnect) {
+  // A v3 peer's PredictRequest carries the old named-only payload; this
+  // build refuses it by frame version (typed Malformed reply, then EOF)
+  // instead of decoding it against the v4 layout.
+  Rig rig;
+  Socket raw = Socket::connect("127.0.0.1", rig.server.port());
+  std::vector<std::uint8_t> frame = encode_frame(
+      FrameType::PredictRequest,
+      encode_predict_request(1, predict_request(dataset().samples[0].counters)));
+  frame[4] = 3;
+  raw.write_all(frame.data(), frame.size());
+
+  FrameDecoder decoder;
+  std::uint8_t buf[4096];
+  std::optional<Frame> reply;
+  while (!reply.has_value()) {
+    ASSERT_TRUE(raw.wait_readable(5000));
+    const std::size_t n = raw.read_some(buf, sizeof buf);
+    ASSERT_GT(n, 0u) << "peer closed before sending an ErrorReply";
+    decoder.feed(buf, n);
+    reply = decoder.next();
+  }
+  EXPECT_EQ(reply->header.type, FrameType::ErrorReply);
+  EXPECT_EQ(decode_wire_error(reply->payload).code, WireErrorCode::Malformed);
+  while (true) {
+    ASSERT_TRUE(raw.wait_readable(5000));
+    if (raw.read_some(buf, sizeof buf) == 0) break;  // dropped
+  }
+  EXPECT_EQ(rig.server.stats().requests_bridged, 0u);
+}
+
 TEST(NetServer, OversizedFrameDeclarationIsRejected) {
   ServerOptions sopt;
   sopt.max_frame_payload = 1024;

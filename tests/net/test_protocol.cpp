@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
+
+#include "profiler/counters.hpp"
 
 namespace gppm::net {
 namespace {
@@ -59,38 +62,180 @@ TEST(NetProtocol, TenantTrailerRoundTrip) {
   request.tenant = 4242;
   const std::vector<std::uint8_t> payload =
       encode_predict_request(9, request);
-  EXPECT_EQ(predict_request_version(request), 3);
   const DecodedRequest decoded = decode_predict_request(payload, 0);
   EXPECT_EQ(decoded.request.tenant, 4242u);
   EXPECT_EQ(decoded.request.kind, request.kind);
   EXPECT_EQ(decoded.request.gpu, request.gpu);
 }
 
-TEST(NetProtocol, TenantZeroKeepsLegacyBytes) {
-  // A tenant-0 request must encode to exactly the pre-v3 byte layout —
-  // that is the interoperability contract with v1/v2 peers.
-  serve::Request request = sample_request();
-  const std::vector<std::uint8_t> legacy = encode_predict_request(7, request);
-  request.tenant = 0;
-  const std::vector<std::uint8_t> again = encode_predict_request(7, request);
-  EXPECT_EQ(legacy, again);
-  EXPECT_EQ(predict_request_version(request), kBaseProtocolVersion);
+// --- v4 golden bytes -------------------------------------------------------
+// Expected payloads are spelled out byte by byte here, independent of the
+// codec.  Counter values are 1.0 / 2.0 and the run time 0.5, whose IEEE-754
+// patterns read directly as bytes.
 
-  request.tenant = 1;
-  const std::vector<std::uint8_t> tenanted =
-      encode_predict_request(7, request);
-  EXPECT_EQ(tenanted.size(), legacy.size() + 4);
-  EXPECT_EQ(decode_predict_request(legacy, 0).request.tenant, 0u);
+const std::vector<std::uint8_t> kOneLe = {0, 0, 0, 0, 0, 0, 0xf0, 0x3f};
+const std::vector<std::uint8_t> kTwoLe = {0, 0, 0, 0, 0, 0, 0x00, 0x40};
+const std::vector<std::uint8_t> kHalfLe = {0, 0, 0, 0, 0, 0, 0xe0, 0x3f};
+
+void append(std::vector<std::uint8_t>& out,
+            const std::vector<std::uint8_t>& bytes) {
+  out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
-TEST(NetProtocol, RejectsZeroTenantTrailer) {
-  // A trailer announcing tenant 0 is a layout disagreement, not a value.
-  serve::Request request = sample_request();
-  request.tenant = 1;
-  std::vector<std::uint8_t> payload = encode_predict_request(7, request);
-  for (std::size_t i = payload.size() - 4; i < payload.size(); ++i) {
-    payload[i] = 0;
+/// A GTX 680 profile holding the full Kepler catalog in order, every
+/// reading (total 1.0, per-second 2.0), run time 0.5 s.
+profiler::ProfileResult gtx680_catalog_profile() {
+  profiler::ProfileResult counters;
+  for (const profiler::CounterDef& def :
+       profiler::counter_catalog(sim::Architecture::Kepler)) {
+    counters.counters.push_back({def.name, def.klass, 1.0, 2.0});
   }
+  counters.run_time = Duration::seconds(0.5);
+  return counters;
+}
+
+serve::Request gtx680_request(profiler::ProfileResult counters) {
+  serve::Request request;
+  request.kind = serve::RequestKind::Predict;
+  request.gpu = sim::GpuModel::GTX680;
+  request.policy = core::GovernorPolicy::MinimumEdp;
+  request.pair = {sim::ClockLevel::Medium, sim::ClockLevel::High};
+  request.counters = std::move(counters);
+  return request;
+}
+
+/// id 0x2a, Predict (0), GTX680 (3), MinimumEdp (1), core Medium (1),
+/// memory High (2).
+const std::vector<std::uint8_t> kGtx680Head = {0x2a, 0, 0, 0, 0, 0, 0, 0,
+                                               0x00, 0x03, 0x01, 0x01, 0x02};
+
+std::vector<std::uint8_t> dense_block_108() {
+  std::vector<std::uint8_t> block;
+  for (int i = 0; i < 108; ++i) {
+    append(block, kOneLe);
+    append(block, kTwoLe);
+  }
+  return block;
+}
+
+TEST(NetProtocol, GoldenBytesV4FullCatalogProfile) {
+  std::vector<std::uint8_t> expected = kGtx680Head;
+  append(expected, {0, 0, 0, 0});   // tenant 0
+  append(expected, {0x01});         // dense block follows
+  append(expected, dense_block_108());
+  append(expected, {0x00, 0x00});   // no named readings
+  append(expected, kHalfLe);        // run time
+  ASSERT_EQ(expected.size(), 13u + 4 + 1 + 108 * 16 + 2 + 8);
+
+  const serve::Request request = gtx680_request(gtx680_catalog_profile());
+  const std::vector<std::uint8_t> payload = encode_predict_request(42, request);
+  EXPECT_EQ(payload, expected);
+
+  // Names and classes come back from the catalog.
+  const DecodedRequest decoded = decode_predict_request(payload, 0);
+  ASSERT_EQ(decoded.request.counters.counters.size(), 108u);
+  for (std::size_t i = 0; i < 108; ++i) {
+    const profiler::CounterReading& in = request.counters.counters[i];
+    const profiler::CounterReading& out = decoded.request.counters.counters[i];
+    EXPECT_EQ(out.name, in.name);
+    EXPECT_EQ(out.klass, in.klass);
+    EXPECT_EQ(out.total, 1.0);
+    EXPECT_EQ(out.per_second, 2.0);
+  }
+  EXPECT_EQ(encode_predict_request(42, decoded.request), payload);
+}
+
+TEST(NetProtocol, GoldenBytesV4MixPseudoCountersRideTheNamedTail) {
+  profiler::ProfileResult counters = gtx680_catalog_profile();
+  counters.counters.push_back(
+      {"mix.bw_pressure", profiler::EventClass::Memory, 1.0, 2.0});
+  counters.counters.push_back(
+      {"mix.sx.ab", profiler::EventClass::Core, 2.0, 1.0});
+
+  std::vector<std::uint8_t> expected = kGtx680Head;
+  append(expected, {0, 0, 0, 0, 0x01});
+  append(expected, dense_block_108());
+  append(expected, {0x02, 0x00});   // two named readings
+  append(expected, {15, 0, 'm', 'i', 'x', '.', 'b', 'w', '_', 'p', 'r', 'e',
+                    's', 's', 'u', 'r', 'e', 0x01});  // Memory
+  append(expected, kOneLe);
+  append(expected, kTwoLe);
+  append(expected, {9, 0, 'm', 'i', 'x', '.', 's', 'x', '.', 'a', 'b',
+                    0x00});  // Core
+  append(expected, kTwoLe);
+  append(expected, kOneLe);
+  append(expected, kHalfLe);
+
+  const serve::Request request = gtx680_request(counters);
+  const std::vector<std::uint8_t> payload = encode_predict_request(42, request);
+  EXPECT_EQ(payload, expected);
+  const DecodedRequest decoded = decode_predict_request(payload, 0);
+  ASSERT_EQ(decoded.request.counters.counters.size(), 110u);
+  EXPECT_EQ(decoded.request.counters.counters[108].name, "mix.bw_pressure");
+  EXPECT_EQ(decoded.request.counters.counters[109].klass,
+            profiler::EventClass::Core);
+  EXPECT_EQ(decoded.request.counters.counters[109].total, 2.0);
+}
+
+TEST(NetProtocol, GoldenBytesV4NonzeroTenant) {
+  // A profile that is not the board's catalog goes entirely in the named
+  // tail (dense flag 0); the tenant is a fixed LE u32 either way.
+  serve::Request request;
+  request.kind = serve::RequestKind::Govern;
+  request.gpu = sim::GpuModel::GTX460;
+  request.policy = core::GovernorPolicy::PowerCap;
+  request.pair = {sim::ClockLevel::High, sim::ClockLevel::Low};
+  request.tenant = 0x01020304;
+  request.counters.counters.push_back(
+      {"x", profiler::EventClass::Memory, 1.0, 2.0});
+  request.counters.run_time = Duration::seconds(0.5);
+
+  std::vector<std::uint8_t> expected = {
+      0x07, 0x01, 0, 0, 0, 0, 0, 0,  // request id 0x0107
+      0x02,                          // Govern
+      0x01,                          // GTX460
+      0x02,                          // PowerCap
+      0x02, 0x00,                    // High / Low
+      0x04, 0x03, 0x02, 0x01,        // tenant
+      0x00,                          // no dense block
+      0x01, 0x00,                    // one named reading
+      0x01, 0x00, 'x', 0x01};        // "x", Memory
+  append(expected, kOneLe);
+  append(expected, kTwoLe);
+  append(expected, kHalfLe);
+
+  const std::vector<std::uint8_t> payload =
+      encode_predict_request(0x0107, request);
+  EXPECT_EQ(payload, expected);
+  EXPECT_EQ(decode_predict_request(payload, 0).request.tenant, 0x01020304u);
+}
+
+TEST(NetProtocol, NonCatalogProfileRoundTripsThroughNamedTail) {
+  // sample_counters() is not the GTX 480's catalog, so nothing is dense:
+  // every reading keeps its own name and class on the wire.
+  const serve::Request request = sample_request();
+  const std::vector<std::uint8_t> payload = encode_predict_request(5, request);
+  EXPECT_EQ(payload[17], 0x00);  // dense flag after id/enums/pair/tenant
+  const DecodedRequest decoded = decode_predict_request(payload, 0);
+  ASSERT_EQ(decoded.request.counters.counters.size(),
+            request.counters.counters.size());
+  for (std::size_t i = 0; i < request.counters.counters.size(); ++i) {
+    const profiler::CounterReading& in = request.counters.counters[i];
+    const profiler::CounterReading& out = decoded.request.counters.counters[i];
+    EXPECT_EQ(out.name, in.name);
+    EXPECT_EQ(out.klass, in.klass);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out.total),
+              std::bit_cast<std::uint64_t>(in.total));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out.per_second),
+              std::bit_cast<std::uint64_t>(in.per_second));
+  }
+  EXPECT_EQ(encode_predict_request(5, decoded.request), payload);
+}
+
+TEST(NetProtocol, RejectsBadDenseFlag) {
+  std::vector<std::uint8_t> payload =
+      encode_predict_request(1, sample_request());
+  payload[17] = 0x02;
   EXPECT_THROW(decode_predict_request(payload, 0), ProtocolError);
 }
 
@@ -182,10 +327,12 @@ TEST(NetProtocol, RejectsCounterCountBomb) {
   serve::Request request = sample_request();
   request.counters.counters.clear();
   std::vector<std::uint8_t> payload = encode_predict_request(1, request);
-  // The u16 counter count sits right after id/kind/gpu/policy/pair = 13
-  // bytes.
-  payload[13] = 0xff;
-  payload[14] = 0xff;
+  // The u16 named-reading count sits after id/kind/gpu/policy/pair (13
+  // bytes), the u32 tenant and the dense flag (an empty profile is not
+  // the catalog, so no dense block follows).
+  ASSERT_EQ(payload[17], 0x00);
+  payload[18] = 0xff;
+  payload[19] = 0xff;
   EXPECT_THROW(decode_predict_request(payload, 0), ProtocolError);
 }
 

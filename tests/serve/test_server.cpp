@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <thread>
@@ -136,6 +137,46 @@ TEST(ServeServer, DisabledCacheNeverHits) {
   EXPECT_FALSE(server.submit(req).get().cache_hit);
   EXPECT_FALSE(server.submit(req).get().cache_hit);
   EXPECT_EQ(server.metrics().cache.hits, 0u);
+}
+
+TEST(ServeServer, DisabledCacheAnswersBitIdenticalToCachedServer) {
+  // With the cache off the server skips the counter fingerprint and the
+  // cache key entirely; every answer must still match the cached server's
+  // bit for bit, for every request kind.
+  PredictionServer cached;
+  ServerOptions off;
+  off.cache_capacity = 0;
+  PredictionServer uncached(off);
+  cached.load_models(power_model(), perf_model());
+  uncached.load_models(power_model(), perf_model());
+  for (int round = 0; round < 2; ++round) {  // second round hits the cache
+    for (std::size_t i = 0; i < 6; ++i) {
+      for (const RequestKind kind :
+           {RequestKind::Predict, RequestKind::Optimize, RequestKind::Govern}) {
+        Request req = predict_request(
+            dataset().samples[i * 5].counters,
+            {sim::ClockLevel::Medium, sim::ClockLevel::High});
+        req.kind = kind;
+        const Response a = cached.submit(req).get();
+        const Response b = uncached.submit(req).get();
+        ASSERT_TRUE(a.ok()) << a.error;
+        ASSERT_TRUE(b.ok()) << b.error;
+        EXPECT_EQ(a.pair, b.pair);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.power_watts),
+                  std::bit_cast<std::uint64_t>(b.power_watts));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.time_seconds),
+                  std::bit_cast<std::uint64_t>(b.time_seconds));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.energy_joules),
+                  std::bit_cast<std::uint64_t>(b.energy_joules));
+        EXPECT_FALSE(b.cache_hit);
+      }
+    }
+  }
+  EXPECT_GT(cached.metrics().cache.hit_rate(), 0.0);
+  const CacheStats off_stats = uncached.metrics().cache;
+  EXPECT_EQ(off_stats.hit_rate(), 0.0);
+  EXPECT_EQ(off_stats.hits, 0u);
+  EXPECT_EQ(off_stats.entries, 0u);
 }
 
 TEST(ServeServer, HotSwapChangesServedModel) {

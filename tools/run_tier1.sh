@@ -16,7 +16,8 @@
 #   4. ASan:   -DGPPM_SANITIZE=address build, then the chaos_smoke and
 #      simd_smoke targets (fault-injection/chaos suites, plus the
 #      zero-copy span-aliasing fuzz where ASan can catch a dangling
-#      payload view).
+#      payload view, and the PredictRequest payload mutation fuzz where
+#      it catches a read past the payload).
 #
 # Usage: tools/run_tier1.sh [--tier1-only]
 #
