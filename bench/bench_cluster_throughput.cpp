@@ -498,9 +498,9 @@ int main(int argc, char** argv) {
       scaling_ok && hedging_ok && chaos_ok && reconfig_ok && overload_ok;
   {
     std::ofstream json("BENCH_cluster.json");
-    json << "{\n  \"schema\": \"gppm.bench_cluster.v2\",\n"
-         << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-         << "  \"scaling\": [\n";
+    json << "{\n  \"schema\": \"gppm.bench_cluster.v3\",\n";
+    gppm::bench::json_env_stamp(json, smoke);
+    json << "  \"scaling\": [\n";
     for (std::size_t i = 0; i < scaling.size(); ++i) {
       json << "    {\"backends\": " << fleet_sizes[i]
            << ", \"rps\": " << format_double(scaling[i].rps, 1)

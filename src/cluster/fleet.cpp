@@ -205,8 +205,23 @@ std::vector<serve::PredictionServer::LoadedModel> LocalFleet::loaded_models()
 
 net::ServeBridge LocalFleet::bridge() {
   net::ServeBridge bridge;
-  bridge.submit = [this](serve::Request request) {
-    return router_->submit(std::move(request));
+  bridge.answer = [this](std::span<const serve::Request> requests,
+                         std::span<serve::Response> responses,
+                         std::chrono::steady_clock::time_point) {
+    // Deadlines ride each request into the backend that serves it.
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      try {
+        responses[i] = router_->predict(requests[i]);
+      } catch (const std::exception& e) {
+        // predict() throws only for no-backends/stopped; answer typed,
+        // as the serve contract does.
+        serve::Response response;
+        response.kind = requests[i].kind;
+        response.status = serve::ResponseStatus::InternalError;
+        response.error = e.what();
+        responses[i] = std::move(response);
+      }
+    }
   };
   bridge.loaded_models = [this] { return loaded_models(); };
   bridge.health = [this] {

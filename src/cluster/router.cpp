@@ -78,18 +78,11 @@ std::chrono::steady_clock::duration to_steady(Duration d) {
 // --- Router ---------------------------------------------------------------
 
 Router::Router(RouterOptions options)
-    : options_(options),
-      ring_(options.ring_vnodes),
-      async_queue_(4096) {
+    : options_(options), ring_(options.ring_vnodes) {
   GPPM_CHECK(options_.replicas >= 1, "router needs replicas >= 1");
-  GPPM_CHECK(options_.async_workers >= 1, "router needs async workers >= 1");
   if (options_.admission_control) {
     admission_ =
         std::make_unique<serve::AdmissionController>(options_.admission);
-  }
-  executors_.reserve(options_.async_workers);
-  for (std::size_t i = 0; i < options_.async_workers; ++i) {
-    executors_.emplace_back([this] { executor_loop(); });
   }
   if (options_.health_interval.as_seconds() > 0.0) {
     health_thread_ = std::thread([this] { health_loop(); });
@@ -100,10 +93,6 @@ Router::~Router() { stop(); }
 
 void Router::stop() {
   if (stopped_.exchange(true)) return;
-  async_queue_.close();
-  for (std::thread& t : executors_) {
-    if (t.joinable()) t.join();
-  }
   if (health_thread_.joinable()) health_thread_.join();
 }
 
@@ -427,35 +416,6 @@ serve::Response Router::predict_admitted(const serve::Request& request) {
   }
 }
 
-std::future<serve::Response> Router::submit(serve::Request request) {
-  AsyncJob job;
-  job.request = std::move(request);
-  std::future<serve::Response> future = job.promise.get_future();
-  if (!async_queue_.push(std::move(job))) {
-    throw Error("cluster router is stopped");
-  }
-  return future;
-}
-
-void Router::executor_loop() {
-  while (true) {
-    std::vector<AsyncJob> batch = async_queue_.pop_batch(1);
-    if (batch.empty()) return;  // closed and drained
-    AsyncJob& job = batch.front();
-    try {
-      job.promise.set_value(predict(job.request));
-    } catch (const std::exception& e) {
-      // predict() throws only for no-backends/stopped; keep the serve
-      // contract (futures resolve, never carry exceptions).
-      serve::Response response;
-      response.kind = job.request.kind;
-      response.status = serve::ResponseStatus::InternalError;
-      response.error = e.what();
-      job.promise.set_value(std::move(response));
-    }
-  }
-}
-
 void Router::health_loop() {
   const auto interval = to_steady(options_.health_interval);
   const auto tick = std::chrono::milliseconds(5);
@@ -506,9 +466,6 @@ void Router::health_loop() {
 
 net::HealthStatus Router::health() const {
   net::HealthStatus status;
-  status.queue_depth = static_cast<std::uint32_t>(async_queue_.size());
-  status.queue_capacity = 4096;
-  status.workers = static_cast<std::uint32_t>(options_.async_workers);
   std::shared_lock<std::shared_mutex> lock(membership_mutex_);
   status.boards = static_cast<std::uint16_t>(slots_.size());
   // Accepting means a request submitted now could be served: the router is

@@ -41,11 +41,10 @@
 // call reports handoff size, duration, and a zero-loss flag.
 //
 // predict() is synchronous on the caller's thread (closed-loop clients,
-// the bench).  submit() runs predict() on a private executor and returns
-// a future — the shape net::Server's bridge needs.  Everything is
-// instrumented under cluster.router.* (requests, hedges fired/won/
-// abandoned, failovers, breaker transitions, ring remaps, per-backend
-// in-flight gauges, end-to-end latency histogram).
+// the bench, and net::Server's reader through LocalFleet::bridge()).
+// Everything is instrumented under cluster.router.* (requests, hedges
+// fired/won/abandoned, failovers, breaker transitions, ring remaps,
+// per-backend in-flight gauges, end-to-end latency histogram).
 #pragma once
 
 #include <atomic>
@@ -93,9 +92,6 @@ struct RouterOptions {
   /// Health-probe period; 0 disables the background loop (tests drive
   /// breakers directly).
   Duration health_interval = Duration::milliseconds(25.0);
-
-  /// Executor threads behind submit().
-  std::size_t async_workers = 4;
 
   /// Adaptive overload control (AIMD limit + deadline-aware admission) in
   /// front of predict(); a shed request gets a typed Overloaded response
@@ -174,11 +170,6 @@ class Router {
   /// at all or is stopped.
   serve::Response predict(const serve::Request& request);
 
-  /// predict() on the executor; the future never carries an exception
-  /// once enqueued.  Throws gppm::Error after stop() (the serve submit
-  /// contract).
-  std::future<serve::Response> submit(serve::Request request);
-
   /// Aggregate health for the net bridge: accepting while any backend's
   /// breaker admits traffic.
   net::HealthStatus health() const;
@@ -195,8 +186,8 @@ class Router {
     return admission_ ? admission_.get() : nullptr;
   }
 
-  /// Stop the health loop and the executor; backends are left running
-  /// (the fleet owns their lifecycle).  Idempotent.
+  /// Stop the health loop; backends are left running (the fleet owns
+  /// their lifecycle).  Idempotent.
   void stop();
 
  private:
@@ -215,11 +206,6 @@ class Router {
   };
   using SlotPtr = std::shared_ptr<Slot>;
 
-  struct AsyncJob {
-    serve::Request request;
-    std::promise<serve::Response> promise;
-  };
-
   /// One launched attempt.
   struct Flight {
     SlotPtr slot;
@@ -236,7 +222,6 @@ class Router {
   bool launch(const std::vector<SlotPtr>& candidates, std::size_t& next,
               bool is_hedge, Flight& out, const serve::Request& request);
   void health_loop();
-  void executor_loop();
 
   RouterOptions options_;
   mutable std::shared_mutex membership_mutex_;
@@ -249,8 +234,6 @@ class Router {
   obs::LogHistogram latency_;
   std::unique_ptr<serve::AdmissionController> admission_;
 
-  serve::BoundedQueue<AsyncJob> async_queue_;
-  std::vector<std::thread> executors_;
   std::thread health_thread_;
   std::atomic<bool> stopped_{false};
 

@@ -1,45 +1,55 @@
 // net::Server — the prediction server on the wire.
 //
-// Bridges decoded PredictRequest frames into an existing
-// serve::PredictionServer, preserving every in-process serving property:
-// dynamic micro-batching (frames from many connections land in the same
-// BoundedQueue the in-process submit path uses), the sharded prediction
-// cache, load shedding, typed ResponseStatus answers, and per-request
-// deadlines (stamped from the frame header's deadline field before the
-// request enters the queue).
+// Bridges decoded PredictRequest frames into a serve::PredictionServer (or
+// a cluster router), preserving every in-process serving property: the
+// group-by-(tenant, gpu, kind) batch routine, the sharded prediction
+// cache, tenant quotas, typed ResponseStatus answers, and per-request
+// deadlines (stamped from the frame header's deadline field).
 //
-// Thread shape, front to back:
+// Thread shape: one accept thread, and one reader thread per connection
+// that answers every frame itself.
 //
-//   accept thread ──▶ per-connection reader ──▶ backend.submit()
-//                          │ poll() + FrameDecoder        │ future
-//                          ▼                              ▼
-//                     bounded write queue ──▶ per-connection writer
-//                     (serve::BoundedQueue,       (waits the future,
-//                      back-pressure when the      encodes, write_all)
-//                      peer stops reading)
+//   accept thread ──▶ per-connection reader, per socket read:
+//                       1. decode the complete frames (FrameDecoder views)
+//                       2. bridge.answer(the read's PredictRequests), in
+//                          batches of up to 8
+//                       3. encode every reply into the connection Arena
+//                       4. one write_all
 //
-// The reader enqueues a pending reply per frame *in arrival order* and the
-// writer resolves them in that order, so responses on one connection are
-// FIFO even though the backend answers out of order across the worker
-// pool.  The write queue is bounded: a peer that stops draining responses
-// eventually blocks its own reader (back-pressure per connection), never
-// the server.  stop() is idempotent: it shuts the listener and every
-// connection socket down, which unblocks all threads, then joins them.
+// The rules this shape gives:
+//
+//   * FIFO: replies leave in the order their frames arrived.  Control
+//     frames (Ping, Info, Health) are answered in place, after the
+//     PredictRequests that preceded them in the read.
+//   * Deadline clock: a request's deadline starts when the socket read
+//     that completed its frame returns.
+//   * Error ordering: frames decoded before a malformed frame are still
+//     answered, in order, before the Malformed ErrorReply; then the
+//     connection closes.
+//   * Back-pressure: a peer that stops reading blocks only its own reader
+//     in write_all, and with it the reading of that peer's further
+//     requests — the socket is the queue.
+//   * Concurrency: one in-flight batch per connection.  There is no queue
+//     shedding on this path (tenant quotas still apply).
+//
+// stop() is idempotent: it shuts the listener and every connection socket
+// down, which unblocks every reader (in poll, read or write_all), then
+// joins them.
 //
 // All socket I/O runs through fault::FaultySocket, so the chaos suite can
 // inject short reads and mid-frame resets server-side too; gppm::obs
 // counters (net.server.*) account bytes, frames, connections and protocol
-// errors, and a histogram tracks write-queue depth.
+// errors.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,7 +59,6 @@
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
-#include "serve/queue.hpp"
 #include "serve/server.hpp"
 
 namespace gppm::net {
@@ -65,9 +74,6 @@ struct ServerOptions {
   /// ErrorReply, so a client sees a typed refusal instead of a hang.
   std::size_t max_connections = 64;
   std::size_t max_frame_payload = kDefaultMaxPayload;
-  /// Pending-response bound per connection (back-pressure on the reader
-  /// once the peer stops draining).
-  std::size_t write_queue_capacity = 256;
   /// Reader poll tick; bounds how fast stop() is observed when idle.
   int poll_interval_ms = 100;
 };
@@ -88,11 +94,16 @@ struct ServerStats {
 
 /// What the transport needs from whatever answers requests.  The classic
 /// shape binds a serve::PredictionServer directly; the cluster router
-/// binds its own submit path so a whole fleet can sit behind one port.
-/// `health` is answered inline on the reader thread — it must be cheap and
-/// must never block on the prediction queue.
+/// binds its own predict path so a whole fleet can sit behind one port.
+/// Every function runs on the connection's reader thread.  `answer` fills
+/// responses[i] for requests[i] (deadline clocks started at `received`)
+/// and throws gppm::Error only when nothing can be served any more
+/// (shutdown).  `health` must be cheap.
 struct ServeBridge {
-  std::function<std::future<serve::Response>(serve::Request)> submit;
+  std::function<void(std::span<const serve::Request> requests,
+                     std::span<serve::Response> responses,
+                     std::chrono::steady_clock::time_point received)>
+      answer;
   std::function<std::vector<serve::PredictionServer::LoadedModel>()>
       loaded_models;
   std::function<HealthStatus()> health;
@@ -131,41 +142,40 @@ class Server {
   ServerStats stats() const;
 
  private:
-  /// One reply owed to a peer, in arrival order.  Either an already
-  /// encoded control payload (pong, info, error) or a pending backend
-  /// future still to be encoded.
-  struct PendingReply {
-    FrameType type = FrameType::Pong;
-    std::vector<std::uint8_t> payload;
-    std::uint64_t request_id = 0;
-    std::optional<std::future<serve::Response>> future;
-  };
-
   struct Connection {
-    explicit Connection(std::size_t write_queue_capacity)
-        : replies(write_queue_capacity), read_buf(64 * 1024) {}
     fault::FaultySocket socket;
-    serve::BoundedQueue<PendingReply> replies;
     /// Socket read scratch, allocated once per connection (not per loop
     /// iteration) — part of the steady-state zero-allocation contract.
-    std::vector<std::uint8_t> read_buf;
-    /// Response-assembly buffers for the writer loop, reused per batch.
+    std::vector<std::uint8_t> read_buf = std::vector<std::uint8_t>(64 * 1024);
+    /// The current read's PredictRequests not yet answered, their ids and
+    /// answer slots; cleared per batch, capacity kept.
+    std::vector<serve::Request> requests;
+    std::vector<std::uint64_t> request_ids;
+    std::vector<serve::Response> responses;
+    /// The current read's reply frames, written with one write_all.
     Arena arena;
+    std::size_t replies = 0;
     std::thread reader;
-    std::thread writer;
-    /// Loop-exit count; 2 = both threads done, safe to reap without
-    /// blocking the accept loop on a live connection's join.
-    std::atomic<int> exited{0};
+    /// Set when the reader is done, so the accept loop can reap the
+    /// connection without blocking on a live one's join.
+    std::atomic<bool> exited{false};
   };
 
   void accept_loop();
   void reader_loop(Connection& conn);
-  void writer_loop(Connection& conn);
-  /// Decode + dispatch one frame; pushes the owed reply.  The frame's
-  /// payload is a view into the connection decoder's buffer (zero-copy);
-  /// dispatch must finish with it before the next socket read.  Returns
-  /// false when the connection should close (backend shut down).
-  bool dispatch(Connection& conn, const FrameView& frame);
+  /// Answer one control frame (Ping, Info, Health) into the arena.  The
+  /// frame's payload is a view into the decoder's buffer.  Throws
+  /// ProtocolError for frames a server must not receive.
+  void answer_control(Connection& conn, const FrameView& frame);
+  /// Answer the read's pending PredictRequests as one bridge batch and
+  /// append their replies.  Throws gppm::Error when the bridge cannot
+  /// serve (backend shut down).
+  void answer_pending(Connection& conn,
+                      std::chrono::steady_clock::time_point received);
+  void append_reply(Connection& conn, FrameType type,
+                    std::span<const std::uint8_t> payload);
+  /// Write the read's replies; false when the peer is gone.
+  bool flush(Connection& conn);
   ServerInfo build_info() const;
   /// Reap finished connections (joins their threads).  Called from the
   /// accept loop; stop() reaps everything.

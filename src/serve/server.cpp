@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <array>
 #include <fstream>
 
 #include "common/error.hpp"
@@ -172,21 +173,20 @@ std::shared_ptr<PredictionServer::ModelEntry> PredictionServer::entry_for(
   return registry_[slot];
 }
 
-bool PredictionServer::acquire_tenant_quota(Job& job) {
-  std::shared_ptr<AdmissionController> quota = quota_for(job.request.tenant);
+bool PredictionServer::admit(const Request& request,
+                             std::shared_ptr<AdmissionController>& quota,
+                             Response& shed) {
+  quota = quota_for(request.tenant);
   if (quota == nullptr) return true;
-  if (quota->try_acquire(job.request.deadline)) {
-    job.quota = std::move(quota);
-    return true;
-  }
+  if (quota->try_acquire(request.deadline)) return true;
+  quota.reset();
   metrics_.record_shed();
-  metrics_.record_tenant_shed(job.request.tenant);
-  Response response;
-  response.kind = job.request.kind;
-  response.status = ResponseStatus::Overloaded;
-  response.error = "tenant " + std::to_string(job.request.tenant) +
-                   " quota saturated";
-  job.promise.set_value(std::move(response));
+  metrics_.record_tenant_shed(request.tenant);
+  shed = Response{};
+  shed.kind = request.kind;
+  shed.status = ResponseStatus::Overloaded;
+  shed.error =
+      "tenant " + std::to_string(request.tenant) + " quota saturated";
   return false;
 }
 
@@ -196,7 +196,11 @@ std::future<Response> PredictionServer::submit(Request request) {
   job.enqueued = std::chrono::steady_clock::now();
   std::future<Response> future = job.promise.get_future();
   const std::uint32_t tenant = job.request.tenant;
-  if (!acquire_tenant_quota(job)) return future;
+  Response shed;
+  if (!admit(job.request, job.quota, shed)) {
+    job.promise.set_value(std::move(shed));
+    return future;
+  }
   if (options_.load_shedding) {
     if (queue_.try_push(std::move(job))) {
       metrics_.record_tenant_accepted(tenant);
@@ -214,7 +218,10 @@ std::future<Response> PredictionServer::submit(Request request) {
     response.status = ResponseStatus::Overloaded;
     response.error = "admission queue saturated (" +
                      std::to_string(options_.queue_capacity) + " queued)";
-    finish(job, std::move(response));
+    Response out;
+    Ticket ticket{&job.request, &out, job.enqueued, std::move(job.quota)};
+    finish(ticket, std::move(response));
+    job.promise.set_value(std::move(out));
     return future;
   }
   if (!queue_.push(std::move(job))) {
@@ -233,7 +240,11 @@ std::optional<std::future<Response>> PredictionServer::try_submit(
   job.enqueued = std::chrono::steady_clock::now();
   std::future<Response> future = job.promise.get_future();
   const std::uint32_t tenant = job.request.tenant;
-  if (!acquire_tenant_quota(job)) return future;
+  Response shed;
+  if (!admit(job.request, job.quota, shed)) {
+    job.promise.set_value(std::move(shed));
+    return future;
+  }
   if (!queue_.try_push(std::move(job))) {
     metrics_.record_rejected();
     if (job.quota) job.quota->release_error();
@@ -241,6 +252,34 @@ std::optional<std::future<Response>> PredictionServer::try_submit(
   }
   metrics_.record_tenant_accepted(tenant);
   return future;
+}
+
+void PredictionServer::answer(std::span<const Request> requests,
+                              std::span<Response> responses,
+                              std::chrono::steady_clock::time_point received) {
+  GPPM_CHECK(requests.size() == responses.size(),
+             "answer() needs one response slot per request");
+  if (!running()) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      metrics_.record_rejected();
+    }
+    throw Error("prediction server is shut down");
+  }
+  std::array<Ticket, kMaxTrackedBatch> tickets;
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    Ticket& ticket = tickets[count];
+    if (!admit(requests[i], ticket.quota, responses[i])) continue;
+    metrics_.record_tenant_accepted(requests[i].tenant);
+    ticket.request = &requests[i];
+    ticket.response = &responses[i];
+    ticket.enqueued = received;
+    if (++count == options_.max_batch) {
+      serve_batch(tickets.data(), count);
+      count = 0;
+    }
+  }
+  if (count > 0) serve_batch(tickets.data(), count);
 }
 
 void PredictionServer::shutdown() {
@@ -267,107 +306,125 @@ ServerMetrics PredictionServer::metrics() const {
 }
 
 void PredictionServer::worker_loop() {
+  std::array<Ticket, kMaxTrackedBatch> tickets;
+  std::array<Response, kMaxTrackedBatch> responses;
   while (true) {
     std::vector<Job> batch = queue_.pop_batch(options_.max_batch);
     if (batch.empty()) break;  // closed and fully drained
-    obs::ObsSpan span("serve.batch");
-    metrics_.record_batch(batch.size());
-
-    // Micro-batch grouping: bring jobs sharing (gpu, kind) together so the
-    // registry lookup and per-board state amortize across the group.
-    std::stable_sort(batch.begin(), batch.end(),
-                     [](const Job& a, const Job& b) {
-                       return group_key(a.request) < group_key(b.request);
-                     });
-    std::size_t begin = 0;
-    while (begin < batch.size()) {
-      std::size_t end = begin + 1;
-      while (end < batch.size() && group_key(batch[end].request) ==
-                                       group_key(batch[begin].request)) {
-        ++end;
-      }
-      const std::shared_ptr<ModelEntry> entry = entry_for(
-          batch[begin].request.tenant, batch[begin].request.gpu);
-      if (entry == nullptr) {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (expire_if_past_deadline(batch[i])) continue;
-          metrics_.record_error_response();
-          Response response;
-          response.status = ResponseStatus::NoModels;
-          response.error =
-              "no models loaded for " + sim::to_string(batch[i].request.gpu);
-          finish(batch[i], std::move(response));
-        }
-      } else {
-        process_group(*entry, batch.data() + begin, end - begin);
-      }
-      begin = end;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      tickets[i] = Ticket{&batch[i].request, &responses[i], batch[i].enqueued,
+                          std::move(batch[i].quota)};
+    }
+    serve_batch(tickets.data(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      batch[i].promise.set_value(std::move(responses[i]));
     }
   }
 }
 
-void PredictionServer::finish(Job& job, Response response) {
-  response.kind = job.request.kind;
+void PredictionServer::serve_batch(Ticket* tickets, std::size_t count) {
+  obs::ObsSpan span("serve.batch");
+  metrics_.record_batch(count);
+
+  // Micro-batch grouping: bring tickets sharing (tenant, gpu, kind)
+  // together so the registry lookup and per-board state amortize across
+  // the group.  Groups run in order of their first ticket and keep arrival
+  // order inside; the buffers live on the stack, so grouping allocates
+  // nothing.
+  std::array<std::uint64_t, kMaxTrackedBatch> keys;
+  std::array<bool, kMaxTrackedBatch> grouped{};
+  std::array<Ticket*, kMaxTrackedBatch> group;
+  for (std::size_t i = 0; i < count; ++i) {
+    keys[i] = group_key(*tickets[i].request);
+  }
+  for (std::size_t first = 0; first < count; ++first) {
+    if (grouped[first]) continue;
+    std::size_t size = 0;
+    for (std::size_t i = first; i < count; ++i) {
+      if (grouped[i] || keys[i] != keys[first]) continue;
+      grouped[i] = true;
+      group[size++] = &tickets[i];
+    }
+    const Request& head = *tickets[first].request;
+    const std::shared_ptr<ModelEntry> entry = entry_for(head.tenant, head.gpu);
+    if (entry != nullptr) {
+      process_group(*entry, group.data(), size);
+      continue;
+    }
+    for (std::size_t i = 0; i < size; ++i) {
+      if (expire_if_past_deadline(*group[i])) continue;
+      metrics_.record_error_response();
+      Response response;
+      response.status = ResponseStatus::NoModels;
+      response.error = "no models loaded for " + sim::to_string(head.gpu);
+      finish(*group[i], std::move(response));
+    }
+  }
+}
+
+void PredictionServer::finish(Ticket& ticket, Response response) {
+  response.kind = ticket.request->kind;
   const auto now = std::chrono::steady_clock::now();
   response.latency = Duration::seconds(
-      std::chrono::duration<double>(now - job.enqueued).count());
-  if (job.quota) {
+      std::chrono::duration<double>(now - ticket.enqueued).count());
+  if (ticket.quota) {
     // Steer the (degenerate, fixed-limit) controller honestly anyway: a
     // congestion answer must not read as success to its EWMA.
     switch (response.status) {
       case ResponseStatus::Ok:
-        job.quota->release_success(response.latency);
+        ticket.quota->release_success(response.latency);
         break;
       case ResponseStatus::Overloaded:
       case ResponseStatus::DeadlineExceeded:
-        job.quota->release_congestion(response.latency);
+        ticket.quota->release_congestion(response.latency);
         break;
       default:
-        job.quota->release_error();
+        ticket.quota->release_error();
         break;
     }
-    job.quota.reset();
+    ticket.quota.reset();
   }
-  job.promise.set_value(std::move(response));
+  *ticket.response = std::move(response);
 }
 
-bool PredictionServer::expire_if_past_deadline(Job& job) {
-  if (!(job.request.deadline > Duration::seconds(0.0))) return false;
+bool PredictionServer::expire_if_past_deadline(Ticket& ticket) {
+  const Duration deadline = ticket.request->deadline;
+  if (!(deadline > Duration::seconds(0.0))) return false;
   const auto now = std::chrono::steady_clock::now();
   const double waited =
-      std::chrono::duration<double>(now - job.enqueued).count();
-  if (waited <= job.request.deadline.as_seconds()) return false;
+      std::chrono::duration<double>(now - ticket.enqueued).count();
+  if (waited <= deadline.as_seconds()) return false;
   metrics_.record_deadline_expired();
   Response response;
   response.status = ResponseStatus::DeadlineExceeded;
   response.error = "queued " + format_double(waited * 1e3, 1) +
-                   " ms past a " +
-                   format_double(job.request.deadline.as_seconds() * 1e3, 1) +
+                   " ms past a " + format_double(deadline.as_seconds() * 1e3, 1) +
                    " ms deadline";
-  finish(job, std::move(response));
+  finish(ticket, std::move(response));
   return true;
 }
 
-void PredictionServer::process_group(ModelEntry& entry, Job* jobs,
+void PredictionServer::process_group(ModelEntry& entry, Ticket* const* group,
                                      std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
-    Job& job = jobs[i];
-    if (expire_if_past_deadline(job)) continue;
+    Ticket& ticket = *group[i];
+    const Request& request = *ticket.request;
+    if (expire_if_past_deadline(ticket)) continue;
     try {
       bool cache_hit = false;
-      Response response = handle(entry, job.request, cache_hit);
+      Response response = handle(entry, request, cache_hit);
       response.cache_hit = cache_hit;
-      if (cache_hit) metrics_.record_tenant_cache_hit(job.request.tenant);
+      if (cache_hit) metrics_.record_tenant_cache_hit(request.tenant);
       const double latency = std::chrono::duration<double>(
-          std::chrono::steady_clock::now() - job.enqueued).count();
-      metrics_.record_request(job.request.kind, latency);
-      finish(job, std::move(response));
+          std::chrono::steady_clock::now() - ticket.enqueued).count();
+      metrics_.record_request(request.kind, latency);
+      finish(ticket, std::move(response));
     } catch (const std::exception& e) {
       metrics_.record_error_response();
       Response response;
       response.status = ResponseStatus::InternalError;
       response.error = e.what();
-      finish(job, std::move(response));
+      finish(ticket, std::move(response));
     }
   }
 }

@@ -3,16 +3,18 @@
 // "Fit once offline, predict at runtime" at traffic scale: the server
 // holds the fitted (power, exectime) UnifiedModel pair per board and
 // answers Predict / Optimize / Govern requests (see request.hpp) from a
-// pool of worker threads.
+// pool of worker threads (submit) or on the caller's thread (answer).
 //
 // Internals, front to back:
 //   * a BoundedQueue<Job> admission queue — full queue = back-pressure on
 //     producers, closed queue = shutdown in progress (reject-new);
 //   * a dynamic micro-batcher: each worker drains up to `max_batch` queued
-//     jobs in one lock acquisition and groups them by (gpu, kind), so the
-//     registry lookup, the configurable-pair list and (for Govern) the
-//     governor lock amortize over the group — batch size adapts to load
-//     by construction, there is no artificial batching delay;
+//     jobs in one lock acquisition and groups them by (tenant, gpu, kind),
+//     so the registry lookup, the configurable-pair list and (for Govern)
+//     the governor lock amortize over the group — batch size adapts to
+//     load by construction, there is no artificial batching delay.
+//     answer() hands a caller's batch (net::Server: a socket read's
+//     PredictRequests) to the same batch routine without the queue;
 //   * a sharded LRU PredictionCache keyed on (model fingerprint, counter
 //     fingerprint, family, pair) — fitted models are pure functions, so
 //     repeated phases are answered without touching the model at all;
@@ -47,6 +49,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -143,6 +146,15 @@ class PredictionServer {
   /// (and counts a rejection) when the queue is full or closed.
   std::optional<std::future<Response>> try_submit(Request request);
 
+  /// Answer `requests` on the calling thread: responses[i] answers
+  /// requests[i].  Each request's deadline clock started at `received`.
+  /// The requests run through the same grouping, quota, deadline, cache
+  /// and metrics logic as the worker pool, in batches of up to max_batch;
+  /// the admission queue and its load shedding are bypassed (the caller
+  /// is its own queue).  Throws gppm::Error once the server is shut down.
+  void answer(std::span<const Request> requests, std::span<Response> responses,
+              std::chrono::steady_clock::time_point received);
+
   /// Drain and stop: reject new submissions, answer everything already
   /// queued, join the workers.  Idempotent, and safe to call from any
   /// number of threads concurrently — including while other threads are
@@ -168,6 +180,16 @@ class PredictionServer {
     /// flight; finish() releases it according to the response status.
     std::shared_ptr<AdmissionController> quota;
   };
+  /// One request of a batch as the batch routine sees it, whichever path
+  /// (worker pool or answer()) it came in on.
+  struct Ticket {
+    const Request* request = nullptr;
+    /// Where finish() writes the answer.
+    Response* response = nullptr;
+    /// Start of the request's deadline clock.
+    std::chrono::steady_clock::time_point enqueued;
+    std::shared_ptr<AdmissionController> quota;
+  };
   /// One governor instance per policy; decide() mutates hysteresis state,
   /// so each slot carries its own lock.
   struct GovernorSlot {
@@ -189,17 +211,23 @@ class PredictionServer {
   };
 
   void worker_loop();
-  void process_group(ModelEntry& entry, Job* jobs, std::size_t count);
+  /// The batch routine: record the batch, group tickets by (tenant, gpu,
+  /// kind) in order of first arrival, answer every ticket.  count <=
+  /// kMaxTrackedBatch; allocates nothing on an all-hit batch.
+  void serve_batch(Ticket* tickets, std::size_t count);
+  void process_group(ModelEntry& entry, Ticket* const* group,
+                     std::size_t count);
   /// Stamp kind + latency, release any tenant quota ticket (success /
-  /// congestion / error according to the status) and resolve the promise.
-  void finish(Job& job, Response response);
-  /// Answer DeadlineExceeded if the job out-waited its deadline (and
-  /// record it); returns true when the job was answered.
-  bool expire_if_past_deadline(Job& job);
-  /// Acquire the tenant's quota ticket into `job.quota`.  Returns false —
-  /// after answering the promise with a typed Overloaded — when the quota
-  /// sheds the request.
-  bool acquire_tenant_quota(Job& job);
+  /// congestion / error according to the status) and store the answer.
+  void finish(Ticket& ticket, Response response);
+  /// Answer DeadlineExceeded if the ticket out-waited its deadline (and
+  /// record it); returns true when the ticket was answered.
+  bool expire_if_past_deadline(Ticket& ticket);
+  /// Acquire the request's tenant quota ticket into `quota`.  Returns
+  /// false — with `shed` set to the typed Overloaded answer — when the
+  /// quota sheds the request.
+  bool admit(const Request& request,
+             std::shared_ptr<AdmissionController>& quota, Response& shed);
   Response handle(ModelEntry& entry, const Request& request, bool& cache_hit);
   double cached_predict(const core::UnifiedModel& model,
                         std::uint64_t model_fp, std::uint64_t counters_fp,

@@ -130,7 +130,7 @@ TEST(ClusterChaos, KillAndRestartUnderConcurrentLoadStaysBitIdentical) {
 
 TEST(ClusterChaos, FleetBridgeServesAndReportsModels) {
   // The bridge is what `gppm serve --cluster N` hands to net::Server:
-  // submit() resolves through the router, models/health come from the
+  // answer() resolves through the router, models/health come from the
   // fleet.
   FleetOptions fopt;
   fopt.backends = 2;
@@ -139,7 +139,9 @@ TEST(ClusterChaos, FleetBridgeServesAndReportsModels) {
   LocalFleet fleet(power_model(), perf_model(), fopt, ropt);
 
   net::ServeBridge bridge = fleet.bridge();
-  const serve::Response r = bridge.submit(predict_request(0)).get();
+  const serve::Request request = predict_request(0);
+  serve::Response r;
+  bridge.answer({&request, 1}, {&r, 1}, std::chrono::steady_clock::now());
   EXPECT_TRUE(r.ok());
 
   // One model pair, announced once (every node holds an identical copy).

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -147,7 +148,9 @@ TEST(ClusterDrain, InFlightRequestHandsOffAndCompletesOnLeaver) {
 
   // Park one request on the leaver, then drain while it is in flight.
   const int i = request_owned_by({"slow", "fast"}, "slow");
-  std::future<serve::Response> inflight = router.submit(make_request(i));
+  std::future<serve::Response> inflight =
+      std::async(std::launch::async,
+                 [&router, i] { return router.predict(make_request(i)); });
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (router.in_flight("slow") == 0 &&
@@ -180,7 +183,9 @@ TEST(ClusterDrain, TimeoutReportsIncompleteDrain) {
   router.add_backend(fast);
 
   const int i = request_owned_by({"slow", "fast"}, "slow");
-  std::future<serve::Response> inflight = router.submit(make_request(i));
+  std::future<serve::Response> inflight =
+      std::async(std::launch::async,
+                 [&router, i] { return router.predict(make_request(i)); });
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (router.in_flight("slow") == 0 &&

@@ -273,22 +273,18 @@ TEST(ClusterRouter, HedgeWaitsAtCeilingBeforeAnyLatencyIsObserved) {
                    opt.hedge_max_delay.as_seconds());
 }
 
-TEST(ClusterRouter, SubmitDeliversThroughFutureAndThrowsAfterStop) {
+TEST(ClusterRouter, PredictAnswersAndThrowsAfterStop) {
   Router router(quiet_options());
   auto a = std::make_shared<FakeBackend>("alpha", 100.0);
   router.add_backend(a);
 
-  std::vector<std::future<serve::Response>> futures;
-  futures.reserve(16);
-  for (int i = 0; i < 16; ++i) futures.push_back(router.submit(make_request(i)));
-  for (std::future<serve::Response>& f : futures) {
-    const serve::Response r = f.get();  // never an exception once enqueued
+  for (int i = 0; i < 16; ++i) {
+    const serve::Response r = router.predict(make_request(i));
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(r.power_watts, a->power_constant());
   }
 
   router.stop();
-  EXPECT_THROW(router.submit(make_request(0)), Error);
   EXPECT_THROW(router.predict(make_request(0)), Error);
 }
 

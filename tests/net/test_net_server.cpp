@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -168,40 +171,127 @@ TEST(NetServer, UnloadedBoardAnswersTypedStatusNotError) {
   EXPECT_NE(r.error.find("no models loaded"), std::string::npos) << r.error;
 }
 
-TEST(NetServer, DeadlinePropagatesThroughFrameHeader) {
-  // One worker chewing through slow uncached Optimize requests guarantees
-  // a later 1 us-deadline request out-waits its deadline in the queue.
-  serve::ServerOptions bopt;
-  bopt.worker_threads = 1;
-  bopt.cache_capacity = 0;  // every Optimize evaluates all pairs for real
-  Rig rig(bopt);
-  std::vector<std::thread> floods;
-  std::atomic<bool> flood_ok{true};
-  for (int t = 0; t < 2; ++t) {
-    floods.emplace_back([&rig, &flood_ok] {
-      ClientOptions copt;
-      copt.port = rig.server.port();
-      Client flooder(copt);
-      serve::Request slow;
-      slow.kind = serve::RequestKind::Optimize;
-      slow.gpu = sim::GpuModel::GTX460;
-      slow.counters = dataset().samples.front().counters;
-      for (int i = 0; i < 20; ++i) {
-        if (!flooder.predict(slow).ok()) flood_ok = false;
-      }
-    });
-  }
+/// 20 uncached Optimize requests, then one Predict with `deadline`, all
+/// pipelined in one write on one connection.
+std::vector<serve::Response> optimizes_then_predict(Rig& rig,
+                                                    Duration deadline) {
+  serve::Request slow;
+  slow.kind = serve::RequestKind::Optimize;
+  slow.gpu = sim::GpuModel::GTX460;
+  slow.counters = dataset().samples.front().counters;
+  std::vector<serve::Request> batch(20, slow);
   serve::Request urgent = predict_request(dataset().samples[1].counters);
-  urgent.deadline = Duration::microseconds(1.0);
-  int expired = 0;
-  for (int i = 0; i < 20; ++i) {
-    const serve::Response r = rig.client->predict(urgent);
-    if (r.status == serve::ResponseStatus::DeadlineExceeded) ++expired;
+  urgent.deadline = deadline;
+  batch.push_back(urgent);
+  return rig.client->predict_batch(batch);
+}
+
+TEST(NetServer, DeadlinePropagatesThroughFrameHeader) {
+  // A connection's queue is its own socket read: the Predict's deadline
+  // clock starts when the read holding all 21 frames returns, and the 20
+  // Optimize frames ahead of it are decoded and answered first (each
+  // evaluates every pair for real with the cache off).  A 1 us deadline
+  // therefore always expires.
+  serve::ServerOptions bopt;
+  bopt.cache_capacity = 0;
+  Rig rig(bopt);
+  for (int round = 0; round < 5; ++round) {
+    const std::vector<serve::Response> replies =
+        optimizes_then_predict(rig, Duration::microseconds(1.0));
+    ASSERT_EQ(replies.size(), 21u);
+    for (std::size_t i = 0; i < 20; ++i) EXPECT_TRUE(replies[i].ok()) << i;
+    EXPECT_EQ(replies[20].status, serve::ResponseStatus::DeadlineExceeded)
+        << "round " << round;
+    EXPECT_EQ(replies[20].kind, serve::RequestKind::Predict);
   }
-  for (std::thread& t : floods) t.join();
-  EXPECT_TRUE(flood_ok.load());
-  // Under a flooded single worker, queue wait >> 1 us essentially always.
-  EXPECT_GT(expired, 0);
+}
+
+TEST(NetServer, GenerousDeadlineBehindTheSameWorkIsAnswered) {
+  serve::ServerOptions bopt;
+  bopt.cache_capacity = 0;
+  Rig rig(bopt);
+  const std::vector<serve::Response> replies =
+      optimizes_then_predict(rig, Duration::seconds(1.0));
+  ASSERT_EQ(replies.size(), 21u);
+  for (const serve::Response& r : replies) EXPECT_TRUE(r.ok()) << r.error;
+  const serve::Response local =
+      rig.backend.submit(predict_request(dataset().samples[1].counters)).get();
+  EXPECT_EQ(replies[20].power_watts, local.power_watts);
+  EXPECT_EQ(replies[20].time_seconds, local.time_seconds);
+}
+
+TEST(NetServer, StalledPeerBlocksOnlyItsOwnReaderAndStopStillReturns) {
+  Rig rig;
+  const serve::Request request = predict_request(dataset().samples[0].counters);
+  const serve::Response truth = rig.backend.submit(request).get();
+  ASSERT_TRUE(truth.ok());
+
+  // The stalled peer pipelines Predict frames and never reads.  They ask
+  // for a board this server has no models for, with an empty profile:
+  // small frames whose typed NoModels replies are larger than the
+  // requests, so the server's send buffer (and the peer's small receive
+  // buffer) fill after a few MiB instead of tens.
+  Socket stalled = Socket::connect("127.0.0.1", rig.server.port());
+  const int small = 4096;
+  ASSERT_EQ(::setsockopt(stalled.fd(), SOL_SOCKET, SO_RCVBUF, &small,
+                         sizeof small),
+            0);
+  serve::Request unserved;
+  unserved.gpu = sim::GpuModel::GTX680;
+  std::vector<std::uint8_t> chunk;
+  for (std::uint64_t id = 0; id < 256; ++id) {
+    encode_frame_into(chunk, FrameType::PredictRequest,
+                      encode_predict_request(id, unserved));
+  }
+  std::atomic<std::uint64_t> flooded{0};
+  std::atomic<bool> flooding{true};
+  std::thread flooder([&] {
+    try {
+      while (true) {
+        stalled.write_all(chunk.data(), chunk.size());
+        flooded.fetch_add(chunk.size());
+      }
+    } catch (const ConnectionError&) {
+      // The server (or the test, below) shut the connection down.
+    }
+    flooding = false;
+  });
+
+  // Once at least 2 MiB went out and the server has stopped taking bytes
+  // for a while, its reader for this peer is blocked in write_all.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  std::uint64_t last = rig.server.stats().bytes_received;
+  for (int steady = 0; steady < 5;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const std::uint64_t now = rig.server.stats().bytes_received;
+    steady = (flooded.load() >= (2u << 20) && now == last) ? steady + 1 : 0;
+    last = now;
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << "the server never stopped reading the stalled peer ("
+        << flooded.load() << " bytes sent)";
+  }
+
+  // The peer's connection is alive and its frames were well-formed: the
+  // server stopped reading because its reply write is blocked (possibly
+  // its first one, so frames_sent may still read 0).
+  ASSERT_TRUE(flooding.load());
+  EXPECT_EQ(rig.server.stats().protocol_errors, 0u);
+
+  // Another connection is served as if nothing were wrong.
+  const serve::Response r = rig.client->predict(request);
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(r.pair, truth.pair);
+  EXPECT_EQ(r.power_watts, truth.power_watts);
+  EXPECT_EQ(r.time_seconds, truth.time_seconds);
+  EXPECT_EQ(r.energy_joules, truth.energy_joules);
+
+  // stop() unblocks the reader stuck in write_all.
+  const auto start = std::chrono::steady_clock::now();
+  rig.server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+  stalled.shutdown_both();
+  flooder.join();
 }
 
 TEST(NetServer, ConcurrentClientsAllServedCorrectly) {
@@ -265,6 +355,50 @@ TEST(NetServer, GarbageBytesGetTypedErrorReplyThenDisconnect) {
   EXPECT_TRUE(
       rig.client->predict(predict_request(dataset().samples[0].counters))
           .ok());
+}
+
+TEST(NetServer, RepliesKeepArrivalOrderAndPrecedeTheMalformedError) {
+  // One write: Predict, Ping, Predict, then bytes that are not a frame.
+  // The reader answers in arrival order — the Ping between the two
+  // Predicts included — and only then reports the garbage and drops us.
+  Rig rig;
+  const serve::Request request = predict_request(dataset().samples[0].counters);
+  const serve::Response truth = rig.backend.submit(request).get();
+  std::vector<std::uint8_t> bytes;
+  encode_frame_into(bytes, FrameType::PredictRequest,
+                    encode_predict_request(1, request));
+  encode_frame_into(bytes, FrameType::Ping, encode_ping(77));
+  encode_frame_into(bytes, FrameType::PredictRequest,
+                    encode_predict_request(2, request));
+  const std::uint8_t garbage[] = "this is definitely not a gppm frame";
+  bytes.insert(bytes.end(), std::begin(garbage), std::end(garbage));
+  Socket raw = Socket::connect("127.0.0.1", rig.server.port());
+  raw.write_all(bytes.data(), bytes.size());
+
+  FrameDecoder decoder;
+  std::vector<Frame> replies;
+  std::uint8_t buf[4096];
+  while (true) {
+    ASSERT_TRUE(raw.wait_readable(5000));
+    const std::size_t n = raw.read_some(buf, sizeof buf);
+    if (n == 0) break;  // dropped after the error
+    decoder.feed(buf, n);
+    while (std::optional<Frame> frame = decoder.next()) {
+      replies.push_back(std::move(*frame));
+    }
+  }
+  ASSERT_EQ(replies.size(), 4u);
+  ASSERT_EQ(replies[0].header.type, FrameType::PredictResponse);
+  ASSERT_EQ(replies[1].header.type, FrameType::Pong);
+  ASSERT_EQ(replies[2].header.type, FrameType::PredictResponse);
+  ASSERT_EQ(replies[3].header.type, FrameType::ErrorReply);
+  EXPECT_EQ(decode_predict_response(replies[0].payload).request_id, 1u);
+  EXPECT_EQ(decode_ping(replies[1].payload), 77u);
+  const DecodedResponse second = decode_predict_response(replies[2].payload);
+  EXPECT_EQ(second.request_id, 2u);
+  EXPECT_EQ(second.response.power_watts, truth.power_watts);
+  EXPECT_EQ(decode_wire_error(replies[3].payload).code,
+            WireErrorCode::Malformed);
 }
 
 TEST(NetServer, V3StampedPredictRequestGetsMalformedThenDisconnect) {

@@ -8,6 +8,7 @@
 // The override must live in this test binary only — never in a library.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
@@ -17,10 +18,13 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "core/dataset.hpp"
+#include "dvfs/combos.hpp"
 #include "net/arena.hpp"
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
 #include "net/wire.hpp"
+#include "serve/server.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -262,6 +266,62 @@ TEST(ZeroCopySteadyState, FramingPathAllocatesNothingOnceWarm) {
   const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " allocations leaked into the warmed hot path";
+}
+
+TEST(ZeroCopySteadyState, WarmAllHitBatchAnswerAndReplyEncodeAllocateNothing) {
+  // What a server reader does with already-decoded PredictRequests: the
+  // synchronous batch answer (grouping, quota, deadline, cache, metrics)
+  // and the reply encode into the connection arena.  Once warm, with every
+  // answer a cache hit, it allocates nothing.  (Request decode is not
+  // covered: it still copies one name string per counter.)
+  const gppm::core::Dataset ds =
+      gppm::core::build_dataset(gppm::sim::GpuModel::GTX460);
+  serve::ServerOptions options;
+  options.worker_threads = 1;
+  serve::PredictionServer server(options);
+  server.load_models(
+      gppm::core::UnifiedModel::fit(ds, gppm::core::TargetKind::Power),
+      gppm::core::UnifiedModel::fit(ds, gppm::core::TargetKind::ExecTime));
+
+  // 32 requests over 8 profiles and 4 pairs, alternating tenant 0 and an
+  // unregistered tenant that falls back to the default family, so the
+  // batch splits into two groups.
+  const std::vector<gppm::sim::FrequencyPair> pairs =
+      gppm::dvfs::configurable_pairs(gppm::sim::GpuModel::GTX460);
+  std::vector<serve::Request> requests(32);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    requests[i].gpu = gppm::sim::GpuModel::GTX460;
+    requests[i].tenant = (i % 2 == 0) ? 0 : 7;
+    requests[i].counters = ds.samples[i % 8].counters;
+    requests[i].pair = pairs[i % 4];
+    requests[i].deadline = gppm::Duration::seconds(10.0);
+  }
+  std::vector<serve::Response> responses(requests.size());
+  Arena arena;
+  const auto one_read = [&] {
+    server.answer(requests, responses, std::chrono::steady_clock::now());
+    arena.reset();
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      WireWriter& payload = arena.payload();
+      payload.clear();
+      encode_predict_response_into(payload, i, responses[i]);
+      encode_frame_into(arena.frames(), FrameType::PredictResponse,
+                        payload.data());
+    }
+  };
+
+  for (int i = 0; i < 4; ++i) one_read();  // fill the cache, warm the arena
+  for (const serve::Response& r : responses) {
+    ASSERT_TRUE(r.ok()) << r.error;
+    ASSERT_TRUE(r.cache_hit);
+  }
+
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < 50; ++i) one_read();
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " allocations in the warmed batch answer path";
+  EXPECT_EQ(server.metrics().batches, 54u);
 }
 
 }  // namespace

@@ -250,6 +250,84 @@ TEST(ServeServer, GenerousDeadlinesAreServedNormally) {
   EXPECT_EQ(server.metrics().deadline_expired, 0u);
 }
 
+TEST(ServeServer, AnswerServesABatchOnTheCallersThread) {
+  ServerOptions opt;
+  opt.worker_threads = 1;
+  opt.max_batch = 8;  // 20 requests -> batches of 8, 8 and 4
+  PredictionServer server(opt);
+  server.load_models(power_model(), perf_model());
+  PredictionServer reference(opt);
+  reference.load_models(power_model(), perf_model());
+
+  // All three kinds interleaved; Govern is stateful, so the reference
+  // sees the requests one at a time in the same order.
+  std::vector<Request> requests;
+  for (std::size_t i = 0; i < 20; ++i) {
+    Request r = predict_request(dataset().samples[i].counters);
+    r.kind = static_cast<RequestKind>(i % kRequestKindCount);
+    requests.push_back(r);
+  }
+  std::vector<Response> responses(requests.size());
+  server.answer(requests, responses, std::chrono::steady_clock::now());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Response want = reference.submit(requests[i]).get();
+    ASSERT_TRUE(responses[i].ok()) << i << ": " << responses[i].error;
+    EXPECT_EQ(responses[i].kind, requests[i].kind) << i;
+    EXPECT_EQ(responses[i].pair, want.pair) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(responses[i].power_watts),
+              std::bit_cast<std::uint64_t>(want.power_watts)) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(responses[i].time_seconds),
+              std::bit_cast<std::uint64_t>(want.time_seconds)) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(responses[i].energy_joules),
+              std::bit_cast<std::uint64_t>(want.energy_joules)) << i;
+  }
+  const ServerMetrics m = server.metrics();
+  EXPECT_EQ(m.batches, 3u);
+  EXPECT_EQ(m.batch_size_counts[7], 2u);
+  EXPECT_EQ(m.batch_size_counts[3], 1u);
+  EXPECT_EQ(m.queue_high_water, 0u);  // the admission queue was bypassed
+}
+
+TEST(ServeServer, AnswerAppliesQuotasDeadlinesAndTypedStatuses) {
+  PredictionServer server;
+  server.load_models(power_model(), perf_model());
+  server.set_tenant_quota(9, 1);
+  std::vector<Request> requests(5,
+                                predict_request(dataset().samples[0].counters));
+  requests[0].tenant = 9;  // takes tenant 9's only slot...
+  requests[1].tenant = 9;  // ...so this one is shed
+  requests[2].gpu = sim::GpuModel::GTX680;
+  requests[3].deadline = Duration::milliseconds(1.0);
+  std::vector<Response> responses(requests.size());
+  // The read that carried these returned a second ago.
+  const auto received =
+      std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  server.answer(requests, responses, received);
+  EXPECT_EQ(responses[0].status, ResponseStatus::Ok);
+  EXPECT_GE(responses[0].latency.as_seconds(), 1.0);
+  EXPECT_EQ(responses[1].status, ResponseStatus::Overloaded);
+  EXPECT_EQ(responses[2].status, ResponseStatus::NoModels);
+  EXPECT_EQ(responses[3].status, ResponseStatus::DeadlineExceeded);
+  EXPECT_EQ(responses[4].status, ResponseStatus::Ok);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(responses[i].kind, RequestKind::Predict) << i;
+  }
+  const ServerMetrics m = server.metrics();
+  EXPECT_EQ(m.shed_requests, 1u);
+  EXPECT_EQ(m.deadline_expired, 1u);
+  EXPECT_EQ(m.batches, 1u);
+
+  // The slot came back: tenant 9 is served again.
+  server.answer({requests.data(), 1}, {responses.data(), 1},
+                std::chrono::steady_clock::now());
+  EXPECT_EQ(responses[0].status, ResponseStatus::Ok);
+
+  server.shutdown();
+  EXPECT_THROW(server.answer(requests, responses,
+                             std::chrono::steady_clock::now()),
+               Error);
+}
+
 TEST(ServeServer, LoadSheddingAnswersOverloadedInsteadOfBlocking) {
   ServerOptions opt;
   opt.worker_threads = 1;
