@@ -24,8 +24,8 @@ double sum_matching(const profiler::ProfileResult& counters,
                     const std::string& prefix, const std::string& infix) {
   double acc = 0.0;
   for (const profiler::CounterReading& r : counters.counters) {
-    if (r.name.rfind(prefix, 0) == 0 &&
-        r.name.find(infix) != std::string::npos) {
+    if (r.name.str().starts_with(prefix) &&
+        r.name.str().find(infix) != std::string::npos) {
       acc += r.total;
     }
   }

@@ -37,9 +37,12 @@ bool is_mix_feature(const std::string& name) {
 }
 
 profiler::CounterReading baseline_reading(profiler::EventClass klass) {
+  // Process-lifetime strings, so every baseline reading borrows its name.
+  static const std::string& core_name = *new std::string(kBaselineCoreFeature);
+  static const std::string& mem_name = *new std::string(kBaselineMemFeature);
   profiler::CounterReading r;
-  r.name = klass == profiler::EventClass::Core ? kBaselineCoreFeature
-                                               : kBaselineMemFeature;
+  r.name = profiler::CounterName::borrow(
+      klass == profiler::EventClass::Core ? core_name : mem_name);
   r.klass = klass;
   r.total = 1.0;
   r.per_second = 1.0;

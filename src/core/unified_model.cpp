@@ -52,7 +52,7 @@ ModelFamily ModelFamily::fit(const Dataset& dataset, TargetKind target,
   for (std::size_t c = catalog.size(); c < readings.size(); ++c) {
     GPPM_CHECK(is_mix_feature(readings[c].name),
                "unexpected extra counter past the catalog: " +
-                   readings[c].name);
+                   readings[c].name.str());
   }
   GPPM_CHECK(readings.size() + (options.include_baseline_terms ? 2u : 0u) ==
                  table.feature_names.size(),

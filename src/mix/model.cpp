@@ -53,13 +53,13 @@ profiler::ProfileResult augment_profile(const profiler::ProfileResult& base,
   for (const profiler::CounterReading& r : base.counters) {
     if (r.klass == profiler::EventClass::Core) {
       profiler::CounterReading sx = r;
-      sx.name = std::string(kMixShareInteractionPrefix) + r.name;
+      sx.name = std::string(kMixShareInteractionPrefix) + r.name.str();
       sx.total = share_scalar * r.total;
       sx.per_second = share_scalar * r.per_second;
       out.counters.push_back(std::move(sx));
     } else {
       profiler::CounterReading bx = r;
-      bx.name = std::string(kMixBwInteractionPrefix) + r.name;
+      bx.name = std::string(kMixBwInteractionPrefix) + r.name.str();
       bx.total = bw_overcommit * r.total;
       bx.per_second = bw_overcommit * r.per_second;
       out.counters.push_back(std::move(bx));

@@ -70,7 +70,7 @@ void encode_counters(WireWriter& w, const profiler::ProfileResult& counters,
   w.u16(static_cast<std::uint16_t>(named));
   for (std::size_t i = first_named; i < counters.counters.size(); ++i) {
     const profiler::CounterReading& c = counters.counters[i];
-    w.str(c.name);
+    w.str(c.name.str());
     w.u8(static_cast<std::uint8_t>(c.klass));
     w.f64(c.total);
     w.f64(c.per_second);
@@ -78,8 +78,12 @@ void encode_counters(WireWriter& w, const profiler::ProfileResult& counters,
   w.f64(counters.run_time.as_seconds());
 }
 
-profiler::ProfileResult decode_counters(
-    WireReader& r, const std::vector<profiler::CounterDef>& catalog) {
+/// Decode into `result` in place: its readings vector keeps its capacity,
+/// and dense readings borrow the catalog's names, so a warm decode of a
+/// catalog-only profile allocates nothing.
+void decode_counters_into(WireReader& r,
+                          const std::vector<profiler::CounterDef>& catalog,
+                          profiler::ProfileResult& result) {
   const std::uint8_t dense = r.u8();
   if (dense > 1) throw ProtocolError("bad dense-block flag");
   const std::size_t dense_count = dense ? catalog.size() : 0;
@@ -92,7 +96,6 @@ profiler::ProfileResult decode_counters(
     throw ProtocolError("counter count " + std::to_string(named) +
                         " exceeds payload");
   }
-  profiler::ProfileResult result;
   result.counters.resize(dense_count + named);
   for (std::size_t i = 0; i < dense_count; ++i) {
     profiler::CounterReading& reading = result.counters[i];
@@ -110,7 +113,6 @@ profiler::ProfileResult decode_counters(
     reading.per_second = r.f64();
   }
   result.run_time = Duration::seconds(r.f64());
-  return result;
 }
 
 }  // namespace
@@ -143,23 +145,30 @@ std::vector<std::uint8_t> encode_predict_request(
   return w.take();
 }
 
+std::uint64_t decode_predict_request_into(
+    std::span<const std::uint8_t> payload, std::uint64_t deadline_micros,
+    serve::Request& slot) {
+  WireReader r(payload);
+  const std::uint64_t request_id = r.u64();
+  slot.kind = checked_enum<serve::RequestKind>(
+      r.u8(), serve::kRequestKindCount, "request kind");
+  slot.gpu = checked_enum<sim::GpuModel>(
+      r.u8(), static_cast<std::uint8_t>(sim::kAllGpus.size()), "gpu model");
+  slot.policy =
+      checked_enum<core::GovernorPolicy>(r.u8(), 3, "governor policy");
+  slot.pair = decode_pair(r);
+  slot.tenant = r.u32();
+  decode_counters_into(r, board_catalog(slot.gpu), slot.counters);
+  slot.deadline = deadline_from_micros(deadline_micros);
+  r.expect_done("predict-request");
+  return request_id;
+}
+
 DecodedRequest decode_predict_request(std::span<const std::uint8_t> payload,
                                       std::uint64_t deadline_micros) {
-  WireReader r(payload);
   DecodedRequest decoded;
-  decoded.request_id = r.u64();
-  decoded.request.kind = checked_enum<serve::RequestKind>(
-      r.u8(), serve::kRequestKindCount, "request kind");
-  decoded.request.gpu = checked_enum<sim::GpuModel>(
-      r.u8(), static_cast<std::uint8_t>(sim::kAllGpus.size()), "gpu model");
-  decoded.request.policy =
-      checked_enum<core::GovernorPolicy>(r.u8(), 3, "governor policy");
-  decoded.request.pair = decode_pair(r);
-  decoded.request.tenant = r.u32();
-  decoded.request.counters =
-      decode_counters(r, board_catalog(decoded.request.gpu));
-  decoded.request.deadline = deadline_from_micros(deadline_micros);
-  r.expect_done("predict-request");
+  decoded.request_id =
+      decode_predict_request_into(payload, deadline_micros, decoded.request);
   return decoded;
 }
 

@@ -89,6 +89,14 @@ void encode_predict_request_into(WireWriter& w, std::uint64_t request_id,
                                  const serve::Request& request);
 DecodedRequest decode_predict_request(std::span<const std::uint8_t> payload,
                                       std::uint64_t deadline_micros);
+/// Slot variant: decode into `slot`, overwriting every field, and return
+/// the request id.  The slot's readings vector keeps its capacity and
+/// dense readings borrow the catalog's names, so once the slot has held a
+/// profile as large, decoding a catalog-only request allocates nothing.
+/// On ProtocolError the slot holds a valid but unspecified request.
+std::uint64_t decode_predict_request_into(std::span<const std::uint8_t> payload,
+                                          std::uint64_t deadline_micros,
+                                          serve::Request& slot);
 
 // --- PredictResponse ------------------------------------------------------
 std::vector<std::uint8_t> encode_predict_response(
@@ -118,9 +126,15 @@ struct HealthStatus {
   std::uint8_t protocol_version = kProtocolVersion;
   bool accepting = true;            ///< false once shutdown has begun
   std::uint16_t boards = 0;         ///< served model pairs
-  std::uint32_t queue_depth = 0;    ///< requests waiting in the serve queue
-  std::uint32_t queue_capacity = 0; ///< serve queue bound
-  std::uint32_t workers = 0;        ///< prediction worker threads
+  /// Requests waiting to be answered: the in-process serve queue plus the
+  /// wire requests held decoded in connection slots.
+  std::uint32_t queue_depth = 0;
+  /// Bound of the above: serve queue capacity plus kAnswerBatch slots per
+  /// live connection.
+  std::uint32_t queue_capacity = 0;
+  /// Threads that answer requests: serve workers plus live connection
+  /// readers.
+  std::uint32_t workers = 0;
 };
 
 struct DecodedHealth {

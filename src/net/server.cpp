@@ -32,14 +32,6 @@ ServerObs& server_obs() {
   return instruments;
 }
 
-/// PredictRequests a connection decodes and holds before answering them.
-/// A read can carry a client's whole pipeline (perfbench sends 32 frames
-/// per batch); answering it in slices of 8 keeps the decoded set, and with
-/// it the reader thread's heap, small.  On perfbench's wire_mixed, holding
-/// all 32 raised peak RSS by about 9% over handing each request to a serve
-/// worker; slices of 8, by about 4%, at the same CPU cost per request.
-constexpr std::size_t kAnswerBatch = 8;
-
 }  // namespace
 
 ServeBridge bridge_prediction_server(serve::PredictionServer& backend) {
@@ -113,6 +105,19 @@ ServerStats Server::stats() const {
     s.connections_active = connections_.size();
   }
   return s;
+}
+
+HealthStatus Server::wire_health() const {
+  HealthStatus status = bridge_.health();
+  std::lock_guard<std::mutex> lock(connections_mutex_);
+  for (const std::shared_ptr<Connection>& conn : connections_) {
+    if (conn->exited.load(std::memory_order_acquire)) continue;
+    status.workers += 1;
+    status.queue_capacity += static_cast<std::uint32_t>(kAnswerBatch);
+    status.queue_depth += static_cast<std::uint32_t>(
+        conn->pending.load(std::memory_order_relaxed));
+  }
+  return status;
 }
 
 ServerInfo Server::build_info() const {
@@ -219,13 +224,13 @@ void Server::reader_loop(Connection& conn) {
           frames_received_.fetch_add(1);
           server_obs().frames_rx.add();
           if (frame->header.type == FrameType::PredictRequest) {
-            DecodedRequest decoded = decode_predict_request(
-                frame->payload, frame->header.deadline_micros);
-            conn.request_ids.push_back(decoded.request_id);
-            conn.requests.push_back(std::move(decoded.request));
-            if (conn.requests.size() == kAnswerBatch) {
-              answer_pending(conn, received);
-            }
+            const std::size_t slot =
+                conn.pending.load(std::memory_order_relaxed);
+            conn.request_ids[slot] = decode_predict_request_into(
+                frame->payload, frame->header.deadline_micros,
+                conn.requests[slot]);
+            conn.pending.store(slot + 1, std::memory_order_relaxed);
+            if (slot + 1 == kAnswerBatch) answer_pending(conn, received);
           } else {
             answer_pending(conn, received);
             answer_control(conn, *frame);
@@ -246,8 +251,7 @@ void Server::reader_loop(Connection& conn) {
       // The bridge cannot serve (backend shut down): answer typed, then
       // drop the peer — nothing further can be served on this process.
       open = false;
-      conn.requests.clear();
-      conn.request_ids.clear();
+      conn.pending.store(0, std::memory_order_relaxed);
       append_reply(conn, FrameType::ErrorReply,
                    encode_wire_error({WireErrorCode::ShuttingDown, e.what()}));
     }
@@ -260,10 +264,11 @@ void Server::reader_loop(Connection& conn) {
 
 void Server::answer_pending(Connection& conn,
                             std::chrono::steady_clock::time_point received) {
-  const std::size_t count = conn.requests.size();
+  const std::size_t count = conn.pending.load(std::memory_order_relaxed);
   if (count == 0) return;
-  conn.responses.resize(count);
-  bridge_.answer(conn.requests, conn.responses, received);
+  bridge_.answer(std::span<const serve::Request>(conn.requests.data(), count),
+                 std::span<serve::Response>(conn.responses.data(), count),
+                 received);
   requests_bridged_.fetch_add(count);
   // Every reply is encoded into the connection arena; once it has warmed
   // to the working-set size the reply path allocates nothing.
@@ -276,8 +281,7 @@ void Server::answer_pending(Connection& conn,
                       payload.data());
   }
   conn.replies += count;
-  conn.requests.clear();
-  conn.request_ids.clear();
+  conn.pending.store(0, std::memory_order_relaxed);
 }
 
 void Server::answer_control(Connection& conn, const FrameView& frame) {
@@ -296,7 +300,7 @@ void Server::answer_control(Connection& conn, const FrameView& frame) {
     case FrameType::HealthRequest:
       append_reply(conn, FrameType::HealthResponse,
                    encode_health_response(
-                       decode_health_request(frame.payload), bridge_.health()));
+                       decode_health_request(frame.payload), wire_health()));
       return;
     default:
       // Server-bound traffic is Ping / InfoRequest / HealthRequest /

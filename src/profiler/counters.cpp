@@ -16,7 +16,9 @@ using Extract = std::function<double(const HardwareEvents&)>;
 class CatalogBuilder {
  public:
   void add(std::string name, EventClass klass, Extract fn) {
-    catalog_.push_back({std::move(name), klass, std::move(fn)});
+    // The catalog is never destroyed, so neither is its name storage.
+    const std::string* stored = new std::string(std::move(name));
+    catalog_.push_back({CounterName::borrow(*stored), klass, std::move(fn)});
   }
 
   /// Add `parts` counters named base_subp<i>_..., splitting `fn`'s value
@@ -366,10 +368,17 @@ std::string to_string(EventClass c) {
   return c == EventClass::Core ? "core" : "memory";
 }
 
+const std::string& CounterName::empty_name() noexcept {
+  static const std::string& empty = *new std::string;
+  return empty;
+}
+
 const std::vector<CounterDef>& counter_catalog(sim::Architecture arch) {
-  static const std::vector<CounterDef> tesla = build_tesla();
-  static const std::vector<CounterDef> fermi = build_fermi();
-  static const std::vector<CounterDef> kepler = build_kepler();
+  // Leaked on purpose: readings borrow the catalog's names, and a reading
+  // may outlive any static destructor.
+  static const auto& tesla = *new std::vector<CounterDef>(build_tesla());
+  static const auto& fermi = *new std::vector<CounterDef>(build_fermi());
+  static const auto& kepler = *new std::vector<CounterDef>(build_kepler());
   switch (arch) {
     case sim::Architecture::Tesla: return tesla;
     case sim::Architecture::Fermi: return fermi;

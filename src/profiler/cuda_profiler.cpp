@@ -46,7 +46,7 @@ ProfileResult CudaProfiler::collect_events(sim::Architecture arch,
     // SM-sampling extrapolation: the profiler counts on one SM/TPC and
     // multiplies up; workload imbalance turns into a systematic relative
     // error that is stable for a given (counter, workload) pair.
-    Rng rng = Rng(seed_).fork(fnv1a(def.name) ^ run_key);
+    Rng rng = Rng(seed_).fork(fnv1a(def.name.str()) ^ run_key);
     double observed = truth * (1.0 + rng.normal(0.0, sampling_sigma_));
     observed = std::max(0.0, std::round(observed));  // counters are integers
 

@@ -525,14 +525,42 @@ TEST(NetServer, HealthRpcObservesBackendState) {
   EXPECT_EQ(h.protocol_version, kProtocolVersion);
   EXPECT_TRUE(h.accepting);
   EXPECT_EQ(h.boards, 1u);
-  EXPECT_EQ(h.queue_capacity, 128u);
-  EXPECT_EQ(h.workers, 2u);
+  // The backend's queue and workers plus the wire path: the probing
+  // connection's reader and its decode slots (none held: the reader
+  // answers its own requests before a control frame).
+  EXPECT_EQ(h.queue_depth, 0u);
+  EXPECT_EQ(h.queue_capacity, 128u + kAnswerBatch);
+  EXPECT_EQ(h.workers, 2u + 1u);
   // Health is answered inline by the transport, never bridged through the
   // prediction queue.
   EXPECT_EQ(rig.server.stats().requests_bridged, 0u);
 
   rig.backend.shutdown();
   EXPECT_FALSE(rig.client->health().accepting);
+}
+
+TEST(NetServer, HealthCountsLiveConnectionReaders) {
+  serve::ServerOptions bopt;
+  bopt.worker_threads = 2;
+  Rig rig(bopt);
+  ClientOptions copt;
+  copt.port = rig.server.port();
+  {
+    Client second(copt);
+    second.ping();  // its reader is live once the Pong is back
+    const HealthStatus h = rig.client->health();
+    EXPECT_EQ(h.workers, 2u + 2u);
+    EXPECT_EQ(h.queue_capacity, bopt.queue_capacity + 2 * kAnswerBatch);
+    EXPECT_EQ(h.queue_depth, 0u);
+  }
+  // The second client closed: its reader exits on EOF and stops counting.
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::uint32_t workers = 0;
+  while ((workers = rig.client->health().workers) != 2u + 1u &&
+         std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(workers, 2u + 1u);
 }
 
 TEST(NetServer, ClientPoolReadoptsRestartedServer) {

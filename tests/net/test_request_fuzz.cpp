@@ -9,7 +9,9 @@
 // Mutations: truncation at every offset, and bit flips aimed at the
 // structural bytes of the v4 layout — the dense flag, the dense block,
 // the named-reading count and the class bytes of named readings — plus
-// untargeted byte corruption.
+// untargeted byte corruption.  The slot variant
+// (decode_predict_request_into) is checked against fresh decodes across a
+// sequence of requests of different sizes into one reused slot.
 
 #include <cstdint>
 #include <cstring>
@@ -176,6 +178,76 @@ TEST(PredictRequestFuzz, StructuralBitFlipsNeverEscapeTheContract) {
       EXPECT_TRUE(decode_exact(bad, c.label)) << c.label << " @" << at;
     }
   }
+}
+
+/// Field-by-field, bit-exact equality of two decoded requests.
+void expect_same_request(const serve::Request& got,
+                         const serve::Request& want, const std::string& what) {
+  EXPECT_EQ(got.kind, want.kind) << what;
+  EXPECT_EQ(got.gpu, want.gpu) << what;
+  EXPECT_EQ(got.tenant, want.tenant) << what;
+  EXPECT_EQ(got.pair, want.pair) << what;
+  EXPECT_EQ(got.policy, want.policy) << what;
+  EXPECT_EQ(got.deadline.as_seconds(), want.deadline.as_seconds()) << what;
+  EXPECT_EQ(got.counters.run_time.as_seconds(),
+            want.counters.run_time.as_seconds())
+      << what;
+  ASSERT_EQ(got.counters.counters.size(), want.counters.counters.size())
+      << what;
+  for (std::size_t i = 0; i < got.counters.counters.size(); ++i) {
+    const profiler::CounterReading& g = got.counters.counters[i];
+    const profiler::CounterReading& w = want.counters.counters[i];
+    EXPECT_EQ(g.name, w.name) << what << " reading " << i;
+    EXPECT_EQ(g.name.is_borrowed(), w.name.is_borrowed()) << what << " " << i;
+    EXPECT_EQ(g.klass, w.klass) << what << " reading " << i;
+    EXPECT_EQ(std::memcmp(&g.total, &w.total, sizeof g.total), 0) << what;
+    EXPECT_EQ(std::memcmp(&g.per_second, &w.per_second, sizeof g.per_second),
+              0)
+        << what;
+  }
+}
+
+TEST(PredictRequestFuzz, ReusedSlotDecodesLikeAFreshDecode) {
+  // One slot, requests of shrinking and growing size: each decode must
+  // leave exactly the new request (no stale readings from a longer one
+  // before it), and a malformed payload must still throw ProtocolError.
+  const std::vector<Case> cases = corpus();
+  Rng rng(31);
+  serve::Request fermi_mix;
+  fermi_mix.kind = serve::RequestKind::Govern;
+  fermi_mix.gpu = sim::GpuModel::GTX460;
+  fermi_mix.policy = gppm::core::GovernorPolicy::MinimumEnergy;
+  fermi_mix.counters = catalog_profile(sim::Architecture::Fermi, rng);
+  fermi_mix.counters.counters.push_back(
+      {"mix.sx.inst_issued", profiler::EventClass::Core, 2.5, 1.25});
+
+  using Bytes = std::vector<std::uint8_t>;
+  const Bytes kepler = encode_predict_request(1, cases[0].request);
+  const Bytes tesla = encode_predict_request(2, cases[1].request);
+  const Bytes mix = encode_predict_request(3, fermi_mix);
+  const Bytes named = encode_predict_request(4, cases[2].request);
+  const Bytes truncated(kepler.begin(), kepler.end() - 9);
+
+  serve::Request slot;
+  const auto decode_into = [&](const Bytes& bytes, std::uint64_t deadline,
+                               const char* what) {
+    const std::uint64_t id =
+        decode_predict_request_into(bytes, deadline, slot);
+    const DecodedRequest fresh = decode_predict_request(bytes, deadline);
+    EXPECT_EQ(id, fresh.request_id) << what;
+    expect_same_request(slot, fresh.request, what);
+  };
+  decode_into(kepler, 2500, "kepler");
+  ASSERT_EQ(slot.counters.counters.size(), 110u);
+  EXPECT_TRUE(slot.counters.counters[107].name.is_borrowed());
+  EXPECT_FALSE(slot.counters.counters[108].name.is_borrowed());
+  decode_into(tesla, 0, "tesla after kepler");
+  EXPECT_EQ(slot.counters.counters.size(), 32u);
+  decode_into(mix, 7, "fermi mix tail after tesla");
+  EXPECT_EQ(slot.counters.counters.size(), 75u);
+  EXPECT_THROW(decode_predict_request_into(truncated, 0, slot), ProtocolError);
+  decode_into(named, 0, "named only after a malformed payload");
+  decode_into(kepler, 0, "kepler again");
 }
 
 TEST(PredictRequestFuzz, RandomCorruptionNeverEscapesTheContract) {

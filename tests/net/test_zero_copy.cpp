@@ -20,10 +20,12 @@
 #include "common/rng.hpp"
 #include "core/dataset.hpp"
 #include "dvfs/combos.hpp"
+#include "gpusim/device_spec.hpp"
 #include "net/arena.hpp"
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
 #include "net/wire.hpp"
+#include "profiler/counters.hpp"
 #include "serve/server.hpp"
 
 namespace {
@@ -272,8 +274,8 @@ TEST(ZeroCopySteadyState, WarmAllHitBatchAnswerAndReplyEncodeAllocateNothing) {
   // What a server reader does with already-decoded PredictRequests: the
   // synchronous batch answer (grouping, quota, deadline, cache, metrics)
   // and the reply encode into the connection arena.  Once warm, with every
-  // answer a cache hit, it allocates nothing.  (Request decode is not
-  // covered: it still copies one name string per counter.)
+  // answer a cache hit, it allocates nothing.  Request decode into the
+  // connection's slots is covered by the next test.
   const gppm::core::Dataset ds =
       gppm::core::build_dataset(gppm::sim::GpuModel::GTX460);
   serve::ServerOptions options;
@@ -322,6 +324,50 @@ TEST(ZeroCopySteadyState, WarmAllHitBatchAnswerAndReplyEncodeAllocateNothing) {
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " allocations in the warmed batch answer path";
   EXPECT_EQ(server.metrics().batches, 54u);
+}
+
+TEST(ZeroCopySteadyState, WarmSlotDecodeOfCatalogOnlyRequestsAllocatesNothing) {
+  // What a server reader does with each PredictRequest frame: decode it
+  // into one of the connection's reused slots.  Dense readings borrow the
+  // catalog's names and the slot keeps its readings' capacity, so once the
+  // slot has held a Kepler profile, decoding Kepler and Tesla requests
+  // into it allocates nothing.
+  namespace profiler = gppm::profiler;
+  namespace sim = gppm::sim;
+  const auto payload_for = [](sim::GpuModel gpu, std::uint64_t id) {
+    serve::Request request;
+    request.gpu = gpu;
+    request.pair = {sim::ClockLevel::Medium, sim::ClockLevel::High};
+    request.tenant = 5;
+    double v = 1.0;
+    for (const profiler::CounterDef& def :
+         profiler::counter_catalog(sim::device_spec(gpu).architecture)) {
+      request.counters.counters.push_back({def.name, def.klass, v, v * 8.0});
+      v += 1.5;
+    }
+    request.counters.run_time = gppm::Duration::seconds(0.125);
+    return encode_predict_request(id, request);
+  };
+  const std::vector<std::uint8_t> kepler =
+      payload_for(sim::GpuModel::GTX680, 1);
+  const std::vector<std::uint8_t> tesla = payload_for(sim::GpuModel::GTX285, 2);
+
+  serve::Request slot;
+  ASSERT_EQ(decode_predict_request_into(kepler, 100, slot), 1u);  // warm
+  ASSERT_EQ(slot.counters.counters.size(), 108u);
+
+  std::uint64_t ids = 0;
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < 100; ++i) {
+    ids += decode_predict_request_into(i % 2 ? tesla : kepler, 100, slot);
+  }
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " allocations in the warmed slot decode";
+  EXPECT_EQ(ids, 50u * 1u + 50u * 2u);
+  ASSERT_EQ(slot.counters.counters.size(), 32u);  // the last was Tesla
+  EXPECT_EQ(slot.gpu, sim::GpuModel::GTX285);
+  EXPECT_EQ(slot.counters.counters[31].per_second, (1.0 + 31 * 1.5) * 8.0);
 }
 
 }  // namespace

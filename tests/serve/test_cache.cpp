@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/dataset.hpp"
 #include "core/serialization.hpp"
+#include "dvfs/combos.hpp"
 
 namespace gppm::serve {
 namespace {
@@ -153,6 +155,36 @@ TEST(ServeCache, ModelFingerprintStableAcrossRoundTrip) {
   const core::UnifiedModel loaded =
       core::deserialize_model(core::serialize_model(power));
   EXPECT_EQ(core::model_fingerprint(power), core::model_fingerprint(loaded));
+}
+
+TEST(ServeCache, FingerprintAndPredictionIgnoreHowNamesAreStored) {
+  // Profiler readings borrow the catalog's names; wire readings past the
+  // catalog own theirs.  Cache keys and model evaluation must see only the
+  // name bytes, never the handle.
+  const core::Dataset ds = core::build_dataset(sim::GpuModel::GTX460);
+  const core::UnifiedModel power =
+      core::UnifiedModel::fit(ds, core::TargetKind::Power);
+  const core::UnifiedModel perf =
+      core::UnifiedModel::fit(ds, core::TargetKind::ExecTime);
+  for (std::size_t s = 0; s < ds.samples.size(); s += 7) {
+    const profiler::ProfileResult& borrowed = ds.samples[s].counters;
+    profiler::ProfileResult owned = borrowed;
+    for (profiler::CounterReading& r : owned.counters) {
+      ASSERT_TRUE(r.name.is_borrowed()) << r.name;
+      r.name = profiler::CounterName(r.name.str());
+      ASSERT_FALSE(r.name.is_borrowed()) << r.name;
+    }
+    EXPECT_EQ(counters_fingerprint(borrowed), counters_fingerprint(owned))
+        << "sample " << s;
+    for (const sim::FrequencyPair pair : dvfs::configurable_pairs(ds.model)) {
+      const double pb = power.predict(borrowed, pair);
+      const double po = power.predict(owned, pair);
+      const double tb = perf.predict(borrowed, pair);
+      const double to = perf.predict(owned, pair);
+      EXPECT_EQ(std::memcmp(&pb, &po, sizeof pb), 0) << "sample " << s;
+      EXPECT_EQ(std::memcmp(&tb, &to, sizeof tb), 0) << "sample " << s;
+    }
+  }
 }
 
 TEST(ServeCache, ConcurrentMixedLoadKeepsCounts) {
